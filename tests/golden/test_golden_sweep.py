@@ -59,8 +59,9 @@ def _build_runs():
 
 
 def _feature_sets():
-    # Algorithm 1 selection is too slow for a golden fixture; pin the
-    # cluster set to the two counters it reliably picks on atom.
+    # Algorithm 1 has its own fixture (test_golden_algorithm1.py); pin the
+    # cluster set to the two counters it reliably picks on atom, so this
+    # fixture tracks the engine alone.
     return [
         cpu_only_set(),
         cluster_set((CPU_UTILIZATION_COUNTER, FREQUENCY_COUNTER)),

@@ -88,3 +88,82 @@ class TestLassoPath:
         result = fit_lasso_path(design, np.full(50, 7.0))
         assert np.all(result.best.coefficients == 0.0)
         assert result.best.intercept == pytest.approx(7.0)
+
+
+class TestPathShape:
+    """With a feature cap the path stops after its first entry over the cap."""
+
+    @pytest.mark.parametrize("cap", [0, 1, 2])
+    def test_capped_path_ends_at_first_entry_over_cap(
+        self, sparse_problem, cap
+    ):
+        design, response, _ = sparse_problem
+        result = fit_lasso_path(design, response, max_features=cap)
+        assert len(result.alphas) == len(result.bics) == len(result.fits)
+        assert len(result.fits) < 30
+        assert np.isinf(result.bics[-1])
+        assert np.all(np.isfinite(result.bics[:-1]))
+        assert len(result.fits[-1].selected) > cap
+        assert all(len(fit.selected) <= cap for fit in result.fits[:-1])
+        assert np.array_equal(
+            result.alphas, [fit.alpha for fit in result.fits]
+        )
+
+    def test_cap_never_reached_keeps_full_path(self, sparse_problem):
+        design, response, _ = sparse_problem
+        result = fit_lasso_path(design, response, max_features=25)
+        assert len(result.fits) == 30
+        assert np.all(np.isfinite(result.bics))
+
+    @pytest.mark.parametrize("n_alphas", [30, 7])
+    def test_uncapped_path_has_every_entry(self, sparse_problem, n_alphas):
+        design, response, _ = sparse_problem
+        result = fit_lasso_path(design, response, n_alphas=n_alphas)
+        assert len(result.alphas) == len(result.bics) == n_alphas
+        assert len(result.fits) == n_alphas
+        assert np.all(np.isfinite(result.bics))
+
+
+class TestNonFiniteInput:
+    """NaN or inf input raises instead of leaking into the selection."""
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_fit_lasso_rejects_design(self, sparse_problem, bad):
+        design, response, _ = sparse_problem
+        design = design.copy()
+        design[7, 4] = bad
+        with pytest.raises(ValueError, match="design"):
+            fit_lasso(design, response, alpha=0.05)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_fit_lasso_rejects_response(self, sparse_problem, bad):
+        design, response, _ = sparse_problem
+        response = response.copy()
+        response[3] = bad
+        with pytest.raises(ValueError, match="response"):
+            fit_lasso(design, response, alpha=0.05)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_fit_lasso_rejects_alpha(self, sparse_problem, bad):
+        design, response, _ = sparse_problem
+        with pytest.raises(ValueError, match="alpha"):
+            fit_lasso(design, response, alpha=bad)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_path_rejects_design(self, sparse_problem, bad):
+        """One NaN used to come back as the best fit's NaN coefficient on
+        that column, in place of an informative one."""
+        design, response, _ = sparse_problem
+        design = design.copy()
+        design[7, 4] = bad
+        with pytest.raises(ValueError, match="design"):
+            fit_lasso_path(design, response, max_features=15)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_path_rejects_response(self, sparse_problem, bad):
+        """An inf response used to select nothing."""
+        design, response, _ = sparse_problem
+        response = response.copy()
+        response[3] = bad
+        with pytest.raises(ValueError, match="response"):
+            fit_lasso_path(design, response, max_features=15)

@@ -73,3 +73,18 @@ class TestSelectMachineFeatures:
                 design, power, names[:-1],
                 machine_id="m", workload_name="w",
             )
+
+    @pytest.mark.parametrize("where", ["design", "power"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_input_rejected(self, rng, where, bad):
+        """A NaN or inf sample is a ValueError from the lasso, not a
+        wrong selection or a LinAlgError from stepwise."""
+        design, power, names = _synthetic_problem(rng)
+        if where == "design":
+            design[10, 2] = bad
+        else:
+            power[10] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            select_machine_features(
+                design, power, names, machine_id="m", workload_name="w"
+            )
