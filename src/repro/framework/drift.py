@@ -13,11 +13,14 @@ samples falling outside them.  When that fraction exceeds what the
 training distribution would produce, the agent should flag the model for
 regeneration — turning the cross-workload caveat into an operational
 signal instead of silent error.
+
+Serving calls :meth:`InputDriftDetector.observe` once per scored sample,
+so the trailing window is a preallocated ring with running counts: each
+sample costs O(features), not O(window).
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -68,7 +71,14 @@ class InputDriftDetector:
 
     _low: np.ndarray | None = field(default=None, init=False)
     _high: np.ndarray | None = field(default=None, init=False)
-    _window: deque = field(init=False)
+    # The trailing window: a ring of per-sample "outside" rows with
+    # running per-feature and any-feature counts over the slots in use.
+    _outside: np.ndarray = field(init=False, repr=False, compare=False)
+    _any_outside: np.ndarray = field(init=False, repr=False, compare=False)
+    _counts: np.ndarray = field(init=False, repr=False, compare=False)
+    _n_any: int = field(default=0, init=False, repr=False, compare=False)
+    _head: int = field(default=0, init=False, repr=False, compare=False)
+    _fill: int = field(default=0, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.feature_names:
@@ -77,12 +87,22 @@ class InputDriftDetector:
             raise ValueError("envelope_quantile must be in (0.5, 1)")
         if self.window_seconds < 1 or self.min_samples < 1:
             raise ValueError("window and min_samples must be positive")
-        self._window = deque(maxlen=self.window_seconds)
+        self._outside = np.zeros(
+            (self.window_seconds, len(self.feature_names)), dtype=bool
+        )
+        self._any_outside = np.zeros(self.window_seconds, dtype=bool)
+        self._counts = np.zeros(len(self.feature_names), dtype=np.int64)
 
     # ------------------------------------------------------------------
     @property
     def is_fitted(self) -> bool:
         return self._low is not None
+
+    @property
+    def has_observations(self) -> bool:
+        """Whether the window holds a sample (False after construction
+        or :meth:`reset`, when :meth:`verdict` would raise)."""
+        return self._fill > 0
 
     @property
     def expected_fraction(self) -> float:
@@ -167,34 +187,50 @@ class InputDriftDetector:
                 f"{len(self.feature_names)}"
             )
         outside = (row < self._low) | (row > self._high)
-        self._window.append(outside)
+        any_outside = bool(outside.any())
+        slot = self._head
+        if self._fill == self.window_seconds:
+            self._counts -= self._outside[slot]
+            self._n_any -= int(self._any_outside[slot])
+        else:
+            self._fill += 1
+        self._outside[slot] = outside
+        self._any_outside[slot] = any_outside
+        self._counts += outside
+        self._n_any += any_outside
+        self._head = (slot + 1) % self.window_seconds
         return self.verdict()
 
     def verdict(self) -> DriftVerdict:
         """Current assessment over the trailing window."""
-        if not self._window:
+        n = self._fill
+        if n == 0:
             raise RuntimeError("no samples observed yet")
-        matrix = np.vstack(self._window)
-        sample_outside = matrix.any(axis=1)
-        fraction = float(sample_outside.mean())
-        per_feature = matrix.mean(axis=0)
-        worst_index = int(np.argmax(per_feature))
-        drifting = (
-            len(self._window) >= self.min_samples
-            and fraction > self.trigger_ratio * self.expected_fraction
-        )
+        # Exact integer counts over n: the same doubles as averaging the
+        # window's 0/1 rows, and argmax over counts picks the same first
+        # worst feature as argmax over counts / n.
+        fraction = self._n_any / n
+        worst_index = int(np.argmax(self._counts))
+        worst_count = int(self._counts[worst_index])
+        expected = self.expected_fraction
         return DriftVerdict(
-            drifting=drifting,
-            out_of_envelope_fraction=fraction,
-            expected_fraction=self.expected_fraction,
-            worst_feature=(
-                self.feature_names[worst_index]
-                if per_feature[worst_index] > 0
-                else None
+            drifting=(
+                n >= self.min_samples
+                and fraction > self.trigger_ratio * expected
             ),
-            worst_feature_fraction=float(per_feature[worst_index]),
+            out_of_envelope_fraction=fraction,
+            expected_fraction=expected,
+            worst_feature=(
+                self.feature_names[worst_index] if worst_count > 0 else None
+            ),
+            worst_feature_fraction=worst_count / n,
         )
 
     def reset(self) -> None:
         """Clear the observation window (envelope is kept)."""
-        self._window.clear()
+        self._outside[:] = False
+        self._any_outside[:] = False
+        self._counts[:] = 0
+        self._n_any = 0
+        self._head = 0
+        self._fill = 0

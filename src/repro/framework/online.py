@@ -12,10 +12,15 @@ micro-batch, so the single-sample ``observe`` is split into two halves it
 can drive separately: :meth:`prepare_row` (resolve counters, advance lag
 state, return the feature row) and :meth:`commit` (record the prediction
 into the rolling history).  ``observe`` remains the one-call form.
+
+The model and its feature set are frozen, so the counters to resolve and
+each feature's source (this second's value or the lagged one) are worked
+out once per predictor; :meth:`prepare_row` only walks that plan.
 """
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass, field
 
@@ -60,6 +65,11 @@ class OnlinePowerPredictor:
     _n_patched: int = field(default=0, init=False)
     _n_patched_samples: int = field(default=0, init=False)
     _consecutive_patched: int = field(default=0, init=False)
+    _required: tuple[str, ...] = field(init=False, repr=False, compare=False)
+    _row_plan: tuple[tuple[str, bool], ...] = field(
+        init=False, repr=False, compare=False
+    )
+    """One ``(counter, is_lag)`` per model feature, in feature order."""
 
     def __post_init__(self):
         if self.history_seconds < 1:
@@ -70,22 +80,21 @@ class OnlinePowerPredictor:
         ):
             raise ValueError("max_consecutive_patches must be positive")
         self._history = deque(maxlen=self.history_seconds)
+        plan = []
+        for name in self.platform_model.feature_set.feature_names:
+            if name.endswith(_LAG_SUFFIX):
+                plan.append((name[: -len(_LAG_SUFFIX)], True))
+            else:
+                plan.append((name, False))
+        self._row_plan = tuple(plan)
+        self._required = tuple(dict.fromkeys(base for base, _ in plan))
 
     # ------------------------------------------------------------------
     @property
     def required_counters(self) -> list[str]:
         """Counters the caller must supply each second (lags excluded —
         the predictor keeps those itself)."""
-        names = []
-        for name in self.platform_model.feature_set.feature_names:
-            base = (
-                name[: -len(_LAG_SUFFIX)]
-                if name.endswith(_LAG_SUFFIX)
-                else name
-            )
-            if base not in names:
-                names.append(base)
-        return names
+        return list(self._required)
 
     @property
     def n_observed(self) -> int:
@@ -117,11 +126,11 @@ class OnlinePowerPredictor:
 
     def _resolve(self, counter_sample: dict[str, float], name: str) -> float:
         value = counter_sample.get(name)
-        if value is not None and np.isfinite(value):
+        if value is not None and math.isfinite(value):
             return float(value)
         if self.allow_missing and self._last_sample is not None:
             fallback = self._last_sample.get(name)
-            if fallback is not None and np.isfinite(fallback):
+            if fallback is not None and math.isfinite(fallback):
                 self._n_patched += 1
                 return float(fallback)
         raise KeyError(f"sample missing counters: [{name!r}]")
@@ -138,7 +147,7 @@ class OnlinePowerPredictor:
         patched_before = self._n_patched
         resolved = {
             name: self._resolve(counter_sample, name)
-            for name in self.required_counters
+            for name in self._required
         }
         sample_was_patched = self._n_patched > patched_before
         if sample_was_patched:
@@ -161,18 +170,13 @@ class OnlinePowerPredictor:
         if sample_was_patched:
             self._n_patched_samples += 1
 
-        row = []
-        for name in self.platform_model.feature_set.feature_names:
-            if name.endswith(_LAG_SUFFIX):
-                base = name[: -len(_LAG_SUFFIX)]
-                source = (
-                    self._last_sample
-                    if self._last_sample is not None
-                    else resolved
-                )
-                row.append(float(source[base]))
-            else:
-                row.append(resolved[name])
+        lagged = (
+            self._last_sample if self._last_sample is not None else resolved
+        )
+        row = [
+            lagged[base] if is_lag else resolved[base]
+            for base, is_lag in self._row_plan
+        ]
         self._last_sample = resolved
         return np.asarray(row, dtype=float)
 

@@ -319,10 +319,15 @@ class MachineSession:
             return None
 
     def snapshot(self) -> dict:
-        """JSON-safe per-session telemetry."""
+        """JSON-safe per-session telemetry.
+
+        The drift fields read 0.0 / False until the installed model has
+        scored a sample: a hot swap starts a fresh window against the new
+        bundle's envelope.
+        """
         drift_fraction = 0.0
         drifting = False
-        if self.n_scored > 0:
+        if self.drift.has_observations:
             verdict = self.drift.verdict()
             drift_fraction = verdict.out_of_envelope_fraction
             drifting = verdict.drifting

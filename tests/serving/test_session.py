@@ -257,3 +257,30 @@ def test_snapshot_is_json_safe_and_complete(scenario, holdout_log):
         assert key in snapshot
     assert snapshot["scored"] == 10
     assert snapshot["online_dre"] is None  # no meter attached
+
+
+def test_snapshot_after_hot_swap_restarts_the_drift_window(
+    scenario, holdout_log
+):
+    """A swap installs a detector with an empty window over the new
+    envelope; the snapshot reports no drift until the new model scores,
+    instead of asking the empty window for a verdict."""
+    session = _make_session(scenario)
+    rows = _counter_rows(scenario, holdout_log, n=2)
+    session.submit(0, rows[0])
+    _drain(session)
+    session.adopt_bundle("L@v2", scenario.bundle("L"))
+    snapshot = session.snapshot()
+    assert snapshot["scored"] == 1
+    assert snapshot["model_version"] == "L@v2"
+    assert snapshot["drift_fraction"] == 0.0
+    assert snapshot["drifting"] is False
+    assert not session.drift.has_observations
+    # The new model's first scored sample opens its own window.
+    session.submit(1, rows[1])
+    _drain(session)
+    verdict = session.drift.verdict()
+    snapshot = session.snapshot()
+    assert snapshot["scored"] == 2
+    assert snapshot["drift_fraction"] == verdict.out_of_envelope_fraction
+    assert snapshot["drifting"] == verdict.drifting

@@ -347,3 +347,42 @@ def test_process_host_round_trips_commands_and_errors(
     # close() is idempotent and leaves the process dead.
     host.close()
     assert not host._process.is_alive()
+
+
+def test_drain_after_hot_swap_returns_the_snapshot(
+    scenario, holdout_log, tmp_path
+):
+    """Score a sample, commit a swap, then drain with nothing pending:
+    the tick hands back the drained snapshot (drift restarted with the
+    new envelope) instead of raising on the swapped-in empty window."""
+    registry = ModelRegistry(tmp_path / "registry")
+    registry.publish(scenario.bundle("Q"))
+    host = InlineShardHost(
+        worker_config(registry_root=str(tmp_path / "registry"))
+    )
+    for machine_id in ("m0", "m1"):
+        host.call(
+            "open_session",
+            {"machine_id": machine_id, "platform": scenario.platform_key},
+        )
+    rows = _counter_rows(scenario, holdout_log, 1)
+    result = host.call(
+        "tick_batch",
+        {"submits": _submits("m0", rows) + _submits("m1", rows)},
+    )
+    assert len(result.scored) == 2
+    v2, _ = registry.publish(scenario.bundle("L"))
+    assert host.call("commit_swap", host.call("stage_swap")) == 2
+
+    snap = host.call("snapshot")
+    assert {row["drift_fraction"] for row in snap["sessions"]} == {0.0}
+    result = host.call("tick_batch", {"submits": [], "drains": ["m0"]})
+    assert [mid for mid, _ in result.drained] == ["m0"]
+    drained = result.drained[0][1]
+    assert drained["scored"] == 1
+    assert drained["model_version"] == v2.label
+    assert drained["drift_fraction"] == 0.0
+    assert drained["drifting"] is False
+    closed = host.call("close_session", {"machine_id": "m1"})
+    assert closed["scored"] == 1 and closed["drifting"] is False
+    host.close()
