@@ -6,7 +6,7 @@ standard cyclic coordinate-descent solver on standardized predictors, plus a
 geometric regularization path with BIC-based selection so callers do not
 have to hand-tune the penalty per platform.
 
-Two rules keep the solver to work whose result is used:
+Three rules keep the solver to work whose result is used:
 
 * **The path stops at the feature cap.**  With ``max_features`` set,
   :func:`fit_lasso_path` stops after the first entry that selects more
@@ -29,6 +29,14 @@ Two rules keep the solver to work whose result is used:
   gradient.  The updates that do run are the plain sweep's, in the same
   order with the same arithmetic, so ``beta``, the sweep count and the
   convergence flag are bit-identical to a sweep over every coordinate.
+* **A sweep that never requeued hands its queue to the next one.**  A
+  slack still ``>= 0`` at the end of a sweep proves that every idle
+  coordinate is still zero with ``|gradient_j| <= alpha``, so a plain
+  sweep would leave it unchanged; the next sweep starts from the same
+  queue and the slack left, without scanning the gradient.  A queued
+  coordinate that can no longer move is a no-op to visit.  After a
+  requeue the queue covers only the coordinates past the update that ran
+  the slack out, so the next sweep scans all of them again.
 """
 
 from __future__ import annotations
@@ -150,9 +158,12 @@ def _coordinate_descent(
     reach = np.abs(gram).max(axis=0, initial=0.0).tolist()
     converged = False
     iteration = 0
+    rescan = True
     for iteration in range(1, max_iterations + 1):
+        if rescan:
+            queue, slack = _movable(gradient, beta, live, alpha, 0)
+            rescan = False
         max_delta = 0.0
-        queue, slack = _movable(gradient, beta, live, alpha, 0)
         position = 0
         while position < len(queue):
             j = queue[position]
@@ -172,6 +183,9 @@ def _coordinate_descent(
                 if not slack >= 0.0:
                     queue, slack = _movable(gradient, beta, live, alpha, j + 1)
                     position = 0
+                    # This queue starts past j, so the next sweep scans
+                    # again; otherwise it reuses the queue and the slack.
+                    rescan = True
         if max_delta < tolerance:
             converged = True
             break

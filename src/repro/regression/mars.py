@@ -8,12 +8,28 @@ two-stage algorithm:
 * **Forward pass** — greedily grow a basis set.  Each step considers, for
   every existing (parent) basis, every feature the parent does not already
   use, and a grid of candidate knots; it adds the reflected hinge pair that
-  most reduces the training RSS.  Candidate scoring is done incrementally:
-  new columns are orthogonalized against the QR factorization of the current
-  basis matrix, so each candidate costs O(n·k) instead of a full refit.
+  most reduces the training RSS.  Each step factors the current basis
+  matrix by a fresh QR, and each (parent, feature) group's candidate
+  columns are orthogonalized against it, so a candidate costs O(n·k)
+  instead of a full refit.
 * **Backward pass** — prune bases one at a time, keeping the subset with the
   lowest Generalized Cross-Validation (GCV) score, which penalizes model
   size and guards against overfitting to a single run's scheduler layout.
+
+Work whose inputs do not change is done once per fit.  A parent's column
+never changes once it is in the basis, so each (parent, feature) knot grid
+is computed the first time the pair is scored.  An accepted pair appends
+its two columns to the basis matrix instead of re-evaluating every basis.
+The backward pass evaluates the forward bases once and stacks each trial
+subset from those columns, C-ordered as ``evaluate_bases`` stacks them.
+
+Scoring stays per group and the QR per step on purpose.  On discrete-valued
+counters and duplicated columns several candidates tie in exact arithmetic,
+so the winner is whichever rounds highest; scoring all groups in one batch
+or updating the QR by the appended columns rounds differently and can pick
+another knot.  Each pruning trial is a least-squares fit rather than a
+drop-one downdate for the same reason: a forward basis that chose the same
+parent and feature twice is rank-deficient, and its drop candidates tie.
 """
 
 from __future__ import annotations
@@ -31,6 +47,7 @@ from repro.regression.hinge import (
     evaluate_bases,
 )
 from repro.regression.kernels import matvec
+from repro.regression.lasso import _require_finite
 
 _EPS = 1e-10
 
@@ -150,8 +167,8 @@ def _forward_pass(
     n_samples = design.shape[0]
     n_features = design.shape[1]
     bases: list[BasisFunction] = [INTERCEPT_BASIS]
-    basis_matrix = np.ones((n_samples, 1))
-    q_matrix, _ = np.linalg.qr(basis_matrix)
+    columns = [np.ones(n_samples)]
+    q_matrix, _ = np.linalg.qr(np.column_stack(columns))
     residual = response - q_matrix @ (q_matrix.T @ response)
     rss = float(residual @ residual)
     total_ss = max(rss, _EPS)
@@ -160,20 +177,28 @@ def _forward_pass(
     feature_is_constant = [
         bool(np.all(column == column[0])) for column in feature_columns
     ]
+    # A parent's column never changes once it is in the basis, so each
+    # (parent, feature) knot grid is computed the first time the pair is
+    # scored.  Only the knots are kept: keeping the hinge columns too
+    # would hold n x knots doubles per pair for the whole fit.
+    knot_grids: dict[tuple[int, int], np.ndarray] = {}
 
     while len(bases) + 2 <= max_terms:
         best = None  # (reduction, parent_index, feature, knot)
         for parent_index, parent in enumerate(bases):
             if parent.degree >= max_degree:
                 continue
-            parent_values = basis_matrix[:, parent_index]
+            parent_values = columns[parent_index]
             for feature in range(n_features):
                 if feature_is_constant[feature] or parent.involves(feature):
                     continue
                 column = feature_columns[feature]
-                knots = _knot_candidates(
-                    column, parent_values, n_knot_candidates
-                )
+                knots = knot_grids.get((parent_index, feature))
+                if knots is None:
+                    knots = _knot_candidates(
+                        column, parent_values, n_knot_candidates
+                    )
+                    knot_grids[parent_index, feature] = knots
                 if knots.size == 0:
                     continue
                 plus = parent_values[:, None] * np.maximum(
@@ -200,12 +225,15 @@ def _forward_pass(
 
         _, parent_index, feature, knot = best
         parent = bases[parent_index]
-        new_plus = parent.extended(Hinge(feature=feature, knot=knot, sign=+1))
-        new_minus = parent.extended(Hinge(feature=feature, knot=knot, sign=-1))
-        for new_basis in (new_plus, new_minus):
-            bases.append(new_basis)
-        basis_matrix = evaluate_bases(bases, design)
-        q_matrix, _ = np.linalg.qr(basis_matrix)
+        bases.append(parent.extended(Hinge(feature=feature, knot=knot, sign=+1)))
+        bases.append(parent.extended(Hinge(feature=feature, knot=knot, sign=-1)))
+        # The products BasisFunction.evaluate forms, in its order, stacked
+        # as evaluate_bases stacks them: the same matrix, bit for bit.
+        parent_values = columns[parent_index]
+        column = feature_columns[feature]
+        columns.append(parent_values * np.maximum(column - knot, 0.0))
+        columns.append(parent_values * np.maximum(knot - column, 0.0))
+        q_matrix, _ = np.linalg.qr(np.column_stack(columns))
         residual = response - q_matrix @ (q_matrix.T @ response)
         new_rss = float(residual @ residual)
         if rss - new_rss < min_rss_decrease * total_ss:
@@ -236,19 +264,20 @@ def _backward_pass(
 ) -> tuple[list[BasisFunction], np.ndarray, float, float]:
     """Prune bases to minimize GCV; returns (bases, coefficients, gcv, rss)."""
     n_samples = design.shape[0]
+    columns = [basis.evaluate(design) for basis in bases]
 
-    def fit_subset(
-        subset: list[BasisFunction],
-    ) -> tuple[np.ndarray, float]:
-        matrix = evaluate_bases(subset, design)
+    def fit_subset(subset: list[int]) -> tuple[np.ndarray, float]:
+        # Stacked as evaluate_bases stacks them, so C-ordered: lstsq and
+        # the product below round differently on a Fortran-ordered slice.
+        matrix = np.column_stack([columns[index] for index in subset])
         coefficients, _, _, _ = np.linalg.lstsq(matrix, response, rcond=None)
         residual = response - matrix @ coefficients
         rss = float(residual @ residual)
         return coefficients, rss
 
-    current = list(bases)
+    current = list(range(len(bases)))
     coefficients, rss = fit_subset(current)
-    best_bases = list(current)
+    best_subset = list(current)
     best_coefficients = coefficients
     best_rss = rss
     best_gcv = _gcv(rss, n_samples, len(current), penalty)
@@ -267,10 +296,11 @@ def _backward_pass(
         current = current[:index] + current[index + 1:]
         if gcv_value < best_gcv:
             best_gcv = gcv_value
-            best_bases = list(current)
+            best_subset = list(current)
             best_coefficients = coefficients
             best_rss = rss
 
+    best_bases = [bases[index] for index in best_subset]
     return best_bases, best_coefficients, best_gcv, best_rss
 
 
@@ -305,6 +335,8 @@ def fit_mars(
     min_rss_decrease:
         Forward pass stops when the best candidate improves training RSS by
         less than this fraction of the total sum of squares.
+
+    NaN or infinite inputs raise ``ValueError``.
     """
     design = np.asarray(design, dtype=float)
     y = np.asarray(response, dtype=float).ravel()
@@ -318,6 +350,8 @@ def fit_mars(
         raise ValueError("max_degree must be 1 or 2")
     if max_terms < 3:
         raise ValueError("max_terms must allow at least one hinge pair")
+    _require_finite("design", design)
+    _require_finite("response", y)
 
     bases = _forward_pass(
         design,

@@ -147,3 +147,16 @@ class TestBaseValidation:
     def test_row_mismatch_rejected(self, rng):
         with pytest.raises(ValueError, match="row counts"):
             LinearPowerModel(NAMES).fit(np.zeros((5, 2)), np.zeros(4))
+
+    @pytest.mark.parametrize(
+        "model_class", [PiecewiseLinearPowerModel, QuadraticPowerModel]
+    )
+    @pytest.mark.parametrize("target", ["design", "power"])
+    def test_mars_models_reject_non_finite(self, rng, model_class, target):
+        design, power = _dvfs_like_data(rng, n=200)
+        if target == "design":
+            design[3, 1] = np.nan
+        else:
+            power[3] = np.inf
+        with pytest.raises(ValueError, match="non-finite"):
+            model_class(NAMES).fit(design, power)

@@ -165,6 +165,26 @@ class TestSweepMatchesPlainSweep:
                 gram, correlations, norms, float(alpha), beta, 1000
             )
 
+    def test_queue_carried_between_sweeps(self, monkeypatch):
+        """A sweep that ends without a requeue hands its queue and slack
+        to the next one: on this input fewer scans run than sweeps."""
+        design, response = _problem(seed=5, n=80, p=8)
+        gram, correlations, norms = _covariance_form(design, response)
+        alpha = 0.3 * float(np.max(np.abs(correlations)))
+        scans = []
+        movable = lasso._movable
+
+        def counting_movable(*args):
+            scans.append(args)
+            return movable(*args)
+
+        monkeypatch.setattr(lasso, "_movable", counting_movable)
+        _, iterations, converged = _assert_sweeps_agree(
+            gram, correlations, norms, alpha, np.zeros(8), 1000
+        )
+        assert converged
+        assert len(scans) < iterations
+
     def test_zero_alpha(self):
         design, response = _problem(seed=5, n=80, p=8)
         gram, correlations, norms = _covariance_form(design, response)

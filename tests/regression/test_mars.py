@@ -86,6 +86,18 @@ class TestValidation:
         with pytest.raises(ValueError, match="lengths"):
             fit_mars(rng.uniform(size=(50, 1)), np.zeros(49))
 
+    @pytest.mark.parametrize("target", ["design", "response"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite(self, rng, target, bad):
+        x = rng.uniform(size=(100, 2))
+        y = 1.0 + 3.0 * np.maximum(x[:, 0] - 0.5, 0.0) + x[:, 1]
+        if target == "design":
+            x[10, 0] = bad
+        else:
+            y[10] = bad
+        with pytest.raises(ValueError, match=f"{target} contains non-finite"):
+            fit_mars(x, y)
+
 
 class TestGeneralization:
     def test_out_of_sample_accuracy(self, rng):
