@@ -1,16 +1,20 @@
-"""Golden result for Algorithm 1 on the Opteron characterization cluster.
+"""Golden results for Algorithm 1 on two small clusters.
 
-``run_algorithm1`` on the paper's Opteron cluster (``DEFAULT_SEED``), cut
-to 2 machines x 2 runs of every paper workload, is pinned to a committed
-JSON fixture: the step-1 and step-2 kept counts, every (machine,
-workload) pair's significant and marginal counters from steps 3-4, the
-step-5 occurrence histogram and the step-6 feature set.  It is the
-cluster the ``characterize`` workload of ``perfbench/`` selects on.
+``run_algorithm1`` on 2 machines x 2 runs of every paper workload is
+pinned to a committed JSON fixture per scenario: the step-1 and step-2
+kept counts, every (machine, workload) pair's significant and marginal
+counters from steps 3-4, the step-5 occurrence histogram and the step-6
+feature set.  The scenarios are:
+
+* ``opteron`` — the paper's Opteron cluster at ``DEFAULT_SEED``, the
+  cluster the ``characterize`` workload of ``perfbench/`` selects on;
+* ``core2`` — the Core 2 cluster at seed 1001, a second platform with a
+  different counter catalog and a smaller selected set.
 
 Every value is a count, a counter name or a sum of 1.0/0.5 weights, so
 ``==`` against the JSON round-trip is exact.
 
-Run ``pytest tests/golden --regen-golden`` to refresh the fixture after
+Run ``pytest tests/golden --regen-golden`` to refresh the fixtures after
 an intentional numerics change.
 """
 
@@ -26,13 +30,21 @@ from repro.framework.chaos import collect_workload_runs
 from repro.platforms import get_platform
 from repro.selection.algorithm1 import Algorithm1Result, run_algorithm1
 
-FIXTURE_PATH = Path(__file__).parent / "fixtures" / "opteron_algorithm1.json"
+FIXTURE_DIR = Path(__file__).parent / "fixtures"
 
-SCENARIO = {
-    "platform": "opteron",
-    "n_machines": 2,
-    "n_runs": 2,
-    "cluster_seed": DEFAULT_SEED,
+SCENARIOS = {
+    "opteron": {
+        "platform": "opteron",
+        "n_machines": 2,
+        "n_runs": 2,
+        "cluster_seed": DEFAULT_SEED,
+    },
+    "core2": {
+        "platform": "core2",
+        "n_machines": 2,
+        "n_runs": 2,
+        "cluster_seed": 1001,
+    },
 }
 
 
@@ -55,20 +67,27 @@ def _summary(result: Algorithm1Result) -> dict:
     }
 
 
+@pytest.fixture(scope="module", params=sorted(SCENARIOS, reverse=True))
+def scenario(request) -> str:
+    return request.param
+
+
 @pytest.fixture(scope="module")
-def summary() -> dict:
+def summary(scenario) -> dict:
+    spec = SCENARIOS[scenario]
     cluster = Cluster.homogeneous(
-        get_platform(SCENARIO["platform"]),
-        n_machines=SCENARIO["n_machines"],
-        seed=SCENARIO["cluster_seed"],
+        get_platform(spec["platform"]),
+        n_machines=spec["n_machines"],
+        seed=spec["cluster_seed"],
     )
-    runs = collect_workload_runs(cluster, n_runs=SCENARIO["n_runs"])
+    runs = collect_workload_runs(cluster, n_runs=spec["n_runs"])
     return _summary(run_algorithm1(cluster, runs))
 
 
 @pytest.fixture(scope="module")
-def golden(summary, regen_golden) -> dict:
+def golden(scenario, summary, regen_golden) -> dict:
     """The committed fixture — or a freshly regenerated one."""
+    path = FIXTURE_DIR / f"{scenario}_algorithm1.json"
     if regen_golden:
         payload = {
             "description": (
@@ -76,20 +95,18 @@ def golden(summary, regen_golden) -> dict:
                 "`pytest tests/golden --regen-golden` after an "
                 "intentional numerics change."
             ),
-            "scenario": SCENARIO,
+            "scenario": SCENARIOS[scenario],
             "result": summary,
         }
-        FIXTURE_PATH.parent.mkdir(parents=True, exist_ok=True)
-        FIXTURE_PATH.write_text(
-            json.dumps(payload, indent=2, sort_keys=True) + "\n"
-        )
-    if not FIXTURE_PATH.exists():
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    if not path.exists():
         pytest.fail(
-            f"golden fixture missing at {FIXTURE_PATH}; "
+            f"golden fixture missing at {path}; "
             "run `pytest tests/golden --regen-golden` to create it"
         )
-    payload = json.loads(FIXTURE_PATH.read_text())
-    assert payload["scenario"] == SCENARIO, (
+    payload = json.loads(path.read_text())
+    assert payload["scenario"] == SCENARIOS[scenario], (
         "fixture was generated for a different scenario; regenerate it"
     )
     return payload["result"]
