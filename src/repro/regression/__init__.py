@@ -7,7 +7,6 @@ from repro.regression.lasso import (
     fit_lasso,
     fit_lasso_path,
     max_alpha,
-    soft_threshold,
 )
 from repro.regression.mars import MARSModel, fit_mars
 from repro.regression.mixed import (
@@ -39,5 +38,4 @@ __all__ = [
     "fit_random_intercept",
     "max_alpha",
     "pooling_suitability",
-    "soft_threshold",
 ]

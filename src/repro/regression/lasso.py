@@ -1,67 +1,67 @@
-"""L1-regularized linear regression (lasso) by coordinate descent.
+"""L1-regularized linear regression (lasso) by an exact homotopy.
 
 Step 3 of Algorithm 1 uses an L1 penalty to discard irrelevant counters in a
-high-dimensional space before stepwise refinement.  We implement the
-standard cyclic coordinate-descent solver on standardized predictors, plus a
-geometric regularization path with BIC-based selection so callers do not
-have to hand-tune the penalty per platform.
+high-dimensional space before stepwise refinement.  The solver works on
+standardized predictors in covariance form (the Gram matrix G = Z'Z/n and
+the correlations c = Z'y/n) and follows the lasso path exactly: the
+LARS-lasso homotopy of Efron et al. (2004).  A geometric regularization
+path with BIC-based selection spares callers hand-tuning the penalty per
+platform.
 
-Three rules keep the solver to work whose result is used:
+**The walk.**  The solution is piecewise linear in alpha.  Between two
+breakpoints the active set A and its signs s are fixed; solving
+``G_AA [u w] = [c_A s]`` gives ``beta_A(alpha) = u - alpha*w`` and each
+inactive gradient ``g_j(alpha) = a_j + alpha*b_j`` with ``a = c_I - G_IA u``
+and ``b = G_IA w``.  Starting from ``alpha_top = max |c_j|`` (all
+coefficients zero), the next breakpoint is the largest alpha below the
+current one at which some ``|g_j|`` reaches alpha (a *join*) or some
+``beta_k`` reaches zero (a *drop*).  Every grid alpha at or above it is
+read off the current segment; then the event is applied and the walk goes
+on.  Each segment is solved afresh from ``c_A`` and ``s``, so rounding does
+not accumulate along the path.  Five rules keep the walk on the path in
+floating point:
 
-* **The path stops at the feature cap.**  With ``max_features`` set,
-  :func:`fit_lasso_path` stops after the first entry that selects more
-  than ``max_features`` features (glmnet's ``dfmax`` rule).  That entry
-  and every later one score BIC = inf, so none of them can be ``best``.
-  The entries before it are the full path's entries bit for bit, because
-  each warm-starts from the one before.  ``best`` could differ only if a
-  later entry came back to ``max_features`` or fewer nonzeros with a
-  lower BIC; a lasso path may drop features as alpha falls, but on the
-  Algorithm 1 paths of five platforms none came back under the cap.
-* **A sweep visits only coordinates that can move.**  A coordinate at
-  zero moves only if ``|gradient_j| > alpha`` when the sweep reaches it.
-  Each sweep queues the nonzero coordinates and the zero ones already
-  over alpha; the rest are idle, and ``slack = alpha - max |gradient|``
-  over them bounds how far their gradients may drift before one could
-  cross alpha.  An update of ``delta`` at ``j`` moves every other
-  gradient entry by at most ``max_k |G_kj| * |delta|`` plus rounding, so
-  the slack is drawn down by that bound and a rounding margin; when it
-  runs out, the rest of the sweep is queued again from the actual
-  gradient.  The updates that do run are the plain sweep's, in the same
-  order with the same arithmetic, so ``beta``, the sweep count and the
-  convergence flag are bit-identical to a sweep over every coordinate.
-* **A sweep that never requeued hands its queue to the next one.**  A
-  slack still ``>= 0`` at the end of a sweep proves that every idle
-  coordinate is still zero with ``|gradient_j| <= alpha``, so a plain
-  sweep would leave it unchanged; the next sweep starts from the same
-  queue and the slack left, without scanning the gradient.  A queued
-  coordinate that can no longer move is a no-op to visit.  After a
-  requeue the queue covers only the coordinates past the update that ran
-  the slack out, so the next sweep scans all of them again.
+* ties go to the lower column index;
+* zero-norm (constant) columns never join;
+* a column that just joined cannot drop in the same segment: its
+  coefficient is linear there and zero at the join, so a drop is rounding;
+* a column that just dropped may not re-cross its old sign's bound in that
+  segment, though it may cross the opposite one;
+* a column whose Schur complement against ``G_AA`` is at most ``_SPAN``
+  of its norm lies in the active span and is not admitted, so of two
+  exactly duplicated columns the lower index carries the weight.  A
+  near-collinear column held out this way may sit over alpha by up to its
+  distance from the span.
+
+``n_iterations`` is the number of breakpoints crossed since the previous
+grid entry, so a path's sum is its step count; perfbench's ``cd_sweeps``
+counter reads that sum, so it counts homotopy steps.  A step bound
+(``max_iterations`` per entry) stops a degenerate tie from looping; an entry
+it cuts short is read off the current segment with ``converged=False``.
+
+**The path stops at the feature cap.**  With ``max_features`` set,
+:func:`fit_lasso_path` stops after the first entry that selects more than
+``max_features`` features (glmnet's ``dfmax`` rule).  That entry and every
+later one score BIC = inf, so none of them can be ``best``.  The entries
+before it are the full path's entries bit for bit: the walk down from
+``alpha_top`` does not depend on where it stops.  ``best`` could differ
+only if a later entry came back to ``max_features`` or fewer nonzeros with
+a lower BIC; a lasso path may drop features as alpha falls, but on the
+Algorithm 1 paths of five platforms none came back under the cap.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
 
 from repro.analysis.arraysan import contracted
 
-# Rounding margin on the idle slack: each update may move an idle
-# gradient entry by a few ulps of (alpha + step) beyond the bound, and a
-# subnormal operation by half the smallest subnormal.  Both are far
-# inside these margins.
-_SLACK_ROUNDING = 1e-14
-_SLACK_FLOOR = float(np.finfo(float).tiny)
-
-
-def soft_threshold(value: float, threshold: float) -> float:
-    """The lasso shrinkage operator sign(v) * max(|v| - t, 0)."""
-    if value > threshold:
-        return value - threshold
-    if value < -threshold:
-        return value + threshold
-    return 0.0
+# Relative Schur complement at or below which a column is taken to lie in
+# the span of the active columns.
+_SPAN = 1e-10
 
 
 @dataclass(frozen=True)
@@ -89,6 +89,24 @@ def _require_finite(name: str, values: np.ndarray) -> None:
         raise ValueError(f"{name} contains non-finite values (NaN or inf)")
 
 
+def _validated(
+    design: np.ndarray, response: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """The design as a finite 2-D float matrix and the response as a
+    finite vector of the same nonzero length; ``ValueError`` otherwise."""
+    design = np.asarray(design, dtype=float)
+    y = np.asarray(response, dtype=float).ravel()
+    if design.ndim != 2:
+        raise ValueError("design matrix must be 2-D")
+    if y.shape[0] != design.shape[0]:
+        raise ValueError("design and response lengths differ")
+    if y.size == 0:
+        raise ValueError("design and response have no rows")
+    _require_finite("design", design)
+    _require_finite("response", y)
+    return design, y
+
+
 def _standardize(
     design: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -109,87 +127,101 @@ def max_alpha(design: np.ndarray, response: np.ndarray) -> float:
     return float(np.max(np.abs(z.T @ centered)) / n) if design.size else 0.0
 
 
-def _movable(
-    gradient: np.ndarray,
-    beta: np.ndarray,
-    live: np.ndarray,
-    alpha: float,
-    start: int,
-) -> tuple[list[int], float]:
-    """The coordinates from ``start`` on that a sweep may change, and the
-    slack the idle rest have before one of them could cross ``alpha``.
-
-    A NaN lands on the safe side: a NaN gradient at zero is idle (the
-    plain sweep leaves it at zero too) and makes the slack NaN, which
-    forces a requeue after every update.
-    """
-    magnitude = np.abs(gradient[start:])
-    movable = (beta[start:] != 0.0) | (magnitude > alpha)
-    movable &= live[start:]
-    idle = live[start:] & ~movable
-    queue = (movable.nonzero()[0] + start).tolist()
-    return queue, alpha - magnitude.max(where=idle, initial=0.0).item()
-
-
-def _coordinate_descent(
+def _homotopy(
     gram: np.ndarray,
     correlations: np.ndarray,
-    column_norms: np.ndarray,
-    alpha: float,
-    beta0: np.ndarray,
-    max_iterations: int,
-    tolerance: float,
-) -> tuple[np.ndarray, int, bool]:
-    """Covariance-form cyclic coordinate descent.
+    alphas: np.ndarray,
+    max_steps: int,
+) -> Iterator[tuple[np.ndarray, int, bool]]:
+    """Walk the lasso path down a non-increasing grid of ``alphas``.
 
-    Works on the Gram matrix G = Z'Z/n and correlations c = Z'y/n, so each
-    coordinate update costs O(p) regardless of sample count — important
-    because Algorithm 1 runs hundreds of lasso fits over pooled 1 Hz data.
-    Each sweep visits only the coordinates that can move (see the module
-    docstring); constant columns (zero norm) never move.
+    Yields ``(beta, steps, converged)`` per grid alpha, on the standardized
+    scale; see the module docstring for the events and rules.
     """
-    beta = beta0.copy()
-    gradient = correlations - gram @ beta  # c - G beta
-    alpha = float(alpha)
-    norms = column_norms.tolist()
-    live = column_norms != 0.0
-    # reach[j] = max_k |G_kj|: how far an update at j can move any
-    # gradient entry per unit of delta.
-    reach = np.abs(gram).max(axis=0, initial=0.0).tolist()
-    converged = False
-    iteration = 0
-    rescan = True
-    for iteration in range(1, max_iterations + 1):
-        if rescan:
-            queue, slack = _movable(gradient, beta, live, alpha, 0)
-            rescan = False
-        max_delta = 0.0
-        position = 0
-        while position < len(queue):
-            j = queue[position]
+    p = correlations.size
+    norms = np.diag(gram)
+    live = norms != 0.0
+    active: list[int] = []
+    signs: list[float] = []
+    alpha = np.inf
+    joined = dropped = -1
+    dropped_sign = 0.0
+    position = steps = 0
+    while position < alphas.size:
+        if active:
+            g_xa = gram[:, active]
+            solution = np.linalg.solve(
+                gram[np.ix_(active, active)],
+                np.column_stack((correlations[active], signs, g_xa.T)),
+            )
+            u, w = solution[:, 0], solution[:, 1]
+            a = correlations - g_xa @ u
+            b = g_xa @ w
+            schur = norms - np.einsum("ij,ji->i", g_xa, solution[:, 2:])
+            free = live & (schur > _SPAN * norms)
+            free[active] = False
+        else:
+            u = w = np.zeros(0)
+            a, b, free = correlations, np.zeros(p), live
+        # Where each inactive gradient reaches +alpha (upper) or -alpha
+        # (lower) as alpha falls; -inf where it moves away from the bound.
+        with np.errstate(divide="ignore", invalid="ignore"):
+            upper = np.where(b < 1.0, a / (1.0 - b), -np.inf)
+            lower = np.where(b > -1.0, -a / (1.0 + b), -np.inf)
+            drops = np.where(np.multiply(signs, w) < 0.0, u / w, -np.inf)
+        if dropped >= 0:
+            (upper if dropped_sign > 0.0 else lower)[dropped] = -np.inf
+        events = np.where(free, np.maximum(upper, lower), -np.inf)
+        events[active] = drops
+        if joined >= 0:
+            events[joined] = -np.inf
+        events[events < 0.0] = -np.inf
+        events = np.minimum(events, alpha)
+        at = float(events.max(initial=-np.inf))
+
+        while position < alphas.size and (
+            alphas[position] >= at or steps == max_steps
+        ):
+            beta = np.zeros(p)
+            beta[active] = u - alphas[position] * w
+            yield beta, steps, bool(alphas[position] >= at)
             position += 1
-            norm = norms[j]
-            old = beta.item(j)
-            rho = gradient.item(j) + norm * old
-            new = soft_threshold(rho, alpha) / norm
-            if new != old:
-                delta = new - old
-                gradient -= gram[:, j] * delta
-                beta[j] = new
-                size = abs(delta)
-                max_delta = max(max_delta, size)
-                step = reach[j] * size
-                slack -= step + _SLACK_ROUNDING * (alpha + step) + _SLACK_FLOOR
-                if not slack >= 0.0:
-                    queue, slack = _movable(gradient, beta, live, alpha, j + 1)
-                    position = 0
-                    # This queue starts past j, so the next sweep scans
-                    # again; otherwise it reuses the queue and the slack.
-                    rescan = True
-        if max_delta < tolerance:
-            converged = True
-            break
-    return beta, iteration, converged
+            steps = 0
+        if position == alphas.size:
+            return
+
+        j = int(np.argmax(events))  # the first maximum: the lower index
+        steps += 1
+        alpha = at
+        if j in active:
+            index = active.index(j)
+            dropped, dropped_sign, joined = j, signs[index], -1
+            del active[index], signs[index]
+        else:
+            active.append(j)
+            signs.append(1.0 if upper[j] >= lower[j] else -1.0)
+            dropped, joined = -1, j
+
+
+def _fits(
+    design: np.ndarray, y: np.ndarray, alphas: np.ndarray, max_steps: int
+) -> Iterator[LassoFit]:
+    """The fit at each alpha of a non-increasing grid, in grid order."""
+    z, mean, scale = _standardize(design)
+    y_mean = y.mean()
+    n = y.size
+    gram = (z.T @ z) / n
+    correlations = (z.T @ (y - y_mean)) / n
+    path = _homotopy(gram, correlations, alphas, max_steps)
+    for alpha, (beta, steps, converged) in zip(alphas, path):
+        coefficients = beta / scale
+        yield LassoFit(
+            intercept=float(y_mean - mean @ coefficients),
+            coefficients=coefficients,
+            alpha=float(alpha),
+            n_iterations=steps,
+            converged=converged,
+        )
 
 
 @contracted
@@ -198,52 +230,21 @@ def fit_lasso(
     response: np.ndarray,
     alpha: float,
     max_iterations: int = 1000,
-    tolerance: float = 1e-7,
 ) -> LassoFit:
-    """Solve (1/2n)||y - b0 - Xb||^2 + alpha * ||b||_1 by coordinate descent.
+    """Solve (1/2n)||y - b0 - Xb||^2 + alpha * ||b||_1 exactly.
 
     Predictors are standardized internally; the returned coefficients are on
-    the original scale.  NaN or infinite inputs raise ``ValueError``.
+    the original scale.  The path is walked from the top down to ``alpha``
+    in at most ``max_iterations`` steps; a fit the bound cuts short reports
+    ``converged=False``.  Bad input (NaN or infinite values, mismatched or
+    empty arrays, a negative alpha) raises ``ValueError``.
     """
-    design = np.asarray(design, dtype=float)
-    y = np.asarray(response, dtype=float).ravel()
-    if design.ndim != 2:
-        raise ValueError("design matrix must be 2-D")
-    n, p = design.shape
-    if y.shape[0] != n:
-        raise ValueError("design and response lengths differ")
+    design, y = _validated(design, response)
     if not np.isfinite(alpha):
         raise ValueError("alpha must be finite")
     if alpha < 0:
         raise ValueError("alpha must be nonnegative")
-    _require_finite("design", design)
-    _require_finite("response", y)
-
-    z, mean, scale = _standardize(design)
-    y_mean = y.mean()
-    gram = (z.T @ z) / n
-    correlations = (z.T @ (y - y_mean)) / n
-    column_norms = np.diag(gram).copy()
-
-    beta, iteration, converged = _coordinate_descent(
-        gram=gram,
-        correlations=correlations,
-        column_norms=column_norms,
-        alpha=alpha,
-        beta0=np.zeros(p),
-        max_iterations=max_iterations,
-        tolerance=tolerance,
-    )
-
-    coefficients = beta / scale
-    intercept = float(y_mean - mean @ coefficients)
-    return LassoFit(
-        intercept=intercept,
-        coefficients=coefficients,
-        alpha=float(alpha),
-        n_iterations=iteration,
-        converged=converged,
-    )
+    return next(_fits(design, y, np.array([float(alpha)]), max_iterations))
 
 
 @dataclass(frozen=True)
@@ -273,12 +274,17 @@ def fit_lasso_path(
     goal of reducing to "on the order of 10" counters per machine: the
     path stops after the first entry selecting more features, and that
     entry scores BIC = inf.  Without a cap all ``n_alphas`` entries are
-    fit.  NaN or infinite inputs raise ``ValueError``.
+    fit.  Bad input raises ``ValueError``: non-finite, mismatched or empty
+    arrays, ``n_alphas < 1``, ``alpha_min_ratio`` outside ``(0, 1]`` and a
+    negative ``max_features``.
     """
-    design = np.asarray(design, dtype=float)
-    y = np.asarray(response, dtype=float).ravel()
-    _require_finite("design", design)
-    _require_finite("response", y)
+    design, y = _validated(design, response)
+    if n_alphas < 1:
+        raise ValueError("n_alphas must be at least 1")
+    if not 0.0 < alpha_min_ratio <= 1.0:
+        raise ValueError("alpha_min_ratio must be in (0, 1]")
+    if max_features is not None and max_features < 0:
+        raise ValueError("max_features must be nonnegative")
     n = y.size
     alpha_top = max_alpha(design, y)
     if alpha_top <= 0:
@@ -291,37 +297,9 @@ def fit_lasso_path(
         )
 
     alphas = alpha_top * np.geomspace(1.0, alpha_min_ratio, n_alphas)
-
-    # Precompute the covariance-form quantities once and warm-start each
-    # path entry from the previous solution.
-    z, mean, scale = _standardize(design)
-    y_mean = y.mean()
-    gram = (z.T @ z) / n
-    correlations = (z.T @ (y - y_mean)) / n
-    column_norms = np.diag(gram).copy()
-
     fits = []
     bics = []
-    beta = np.zeros(design.shape[1])
-    for alpha in alphas:
-        beta, n_iterations, converged = _coordinate_descent(
-            gram=gram,
-            correlations=correlations,
-            column_norms=column_norms,
-            alpha=float(alpha),
-            beta0=beta,
-            max_iterations=1000,
-            tolerance=1e-7,
-        )
-        coefficients = beta / scale
-        intercept = float(y_mean - mean @ coefficients)
-        fit = LassoFit(
-            intercept=intercept,
-            coefficients=coefficients,
-            alpha=float(alpha),
-            n_iterations=n_iterations,
-            converged=converged,
-        )
+    for fit in _fits(design, y, alphas, 1000):
         residual = y - fit.predict(design)
         rss = float(residual @ residual)
         k = int(np.count_nonzero(fit.coefficients)) + 1
@@ -332,11 +310,10 @@ def fit_lasso_path(
         if over_cap:
             break
 
-    bics = np.asarray(bics)
     best_index = int(np.argmin(bics))
     return LassoPathResult(
         best=fits[best_index],
         alphas=alphas[: len(fits)],
-        bics=bics,
+        bics=np.asarray(bics),
         fits=tuple(fits),
     )

@@ -67,7 +67,7 @@ def _summary(result: Algorithm1Result) -> dict:
     }
 
 
-@pytest.fixture(scope="module", params=sorted(SCENARIOS, reverse=True))
+@pytest.fixture(scope="module", params=list(SCENARIOS))
 def scenario(request) -> str:
     return request.param
 

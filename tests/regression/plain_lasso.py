@@ -1,16 +1,23 @@
-"""The plain cyclic coordinate-descent sweep, kept as a test oracle.
+"""Plain cyclic coordinate descent for the lasso, kept as a test reference.
 
-``repro.regression.lasso._coordinate_descent`` visits only the
-coordinates a sweep can move.  This is the sweep it replaced, which
-visits every coordinate every time; the property tests require the two
-to return bit-identical ``(beta, n_iterations, converged)``.
+``repro.regression.lasso`` walks the exact lasso path by homotopy.  This
+is the coordinate-descent solver it replaced, which visits every
+coordinate every sweep; run to a tight tolerance, its supports are the
+reference the homotopy's are checked against.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.regression.lasso import soft_threshold
+
+def soft_threshold(value: float, threshold: float) -> float:
+    """The lasso shrinkage operator sign(v) * max(|v| - t, 0)."""
+    if value > threshold:
+        return value - threshold
+    if value < -threshold:
+        return value + threshold
+    return 0.0
 
 
 def plain_coordinate_descent(
@@ -25,8 +32,7 @@ def plain_coordinate_descent(
     """Covariance-form cyclic coordinate descent.
 
     Works on the Gram matrix G = Z'Z/n and correlations c = Z'y/n, so each
-    coordinate update costs O(p) regardless of sample count — important
-    because Algorithm 1 runs hundreds of lasso fits over pooled 1 Hz data.
+    coordinate update costs O(p) regardless of sample count.
     """
     p = correlations.size
     beta = beta0.copy()

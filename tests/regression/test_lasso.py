@@ -1,9 +1,12 @@
-"""Tests for the coordinate-descent lasso."""
+"""Tests for the lasso."""
+
+from functools import partial
 
 import numpy as np
 import pytest
 
-from repro.regression import fit_lasso, fit_lasso_path, max_alpha, soft_threshold
+from repro.regression import fit_lasso, fit_lasso_path, max_alpha
+from tests.regression.plain_lasso import soft_threshold
 
 
 @pytest.fixture
@@ -14,6 +17,14 @@ def sparse_problem():
     beta[[1, 8, 17]] = [3.0, -2.0, 1.5]
     response = design @ beta + rng.normal(0, 0.1, 400)
     return design, response, beta
+
+
+@pytest.fixture
+def small_problem():
+    rng = np.random.default_rng(5)
+    design = rng.normal(size=(50, 4))
+    response = design @ np.array([1.0, 0.0, -2.0, 0.0]) + rng.normal(0, 0.1, 50)
+    return design, response
 
 
 class TestSoftThreshold:
@@ -167,3 +178,58 @@ class TestNonFiniteInput:
         response[3] = bad
         with pytest.raises(ValueError, match="response"):
             fit_lasso_path(design, response, max_features=15)
+
+
+BOTH_FITS = pytest.mark.parametrize(
+    "fit",
+    [fit_lasso_path, partial(fit_lasso, alpha=0.05)],
+    ids=["path", "single"],
+)
+
+
+class TestArgumentValidation:
+    """Bad arguments raise ValueError.  Each of these used to return a
+    result that selected nothing, a NaN intercept or an over-cap best
+    fit, or to fail inside numpy with an unrelated message."""
+
+    @pytest.mark.parametrize("ratio", [np.nan, np.inf, -0.5, 0.0, 5.0])
+    def test_path_rejects_alpha_min_ratio(self, small_problem, ratio):
+        design, response = small_problem
+        with pytest.raises(ValueError, match="alpha_min_ratio"):
+            fit_lasso_path(design, response, alpha_min_ratio=ratio)
+
+    def test_flat_grid_is_allowed(self, small_problem):
+        design, response = small_problem
+        result = fit_lasso_path(
+            design, response, n_alphas=3, alpha_min_ratio=1.0
+        )
+        assert len(set(result.alphas.tolist())) == 1
+        assert all(len(fit.selected) == 0 for fit in result.fits)
+
+    @pytest.mark.parametrize("n_alphas", [0, -2])
+    def test_path_rejects_n_alphas(self, small_problem, n_alphas):
+        design, response = small_problem
+        with pytest.raises(ValueError, match="n_alphas"):
+            fit_lasso_path(design, response, n_alphas=n_alphas)
+
+    def test_path_rejects_negative_max_features(self, small_problem):
+        design, response = small_problem
+        with pytest.raises(ValueError, match="max_features"):
+            fit_lasso_path(design, response, max_features=-1)
+
+    @BOTH_FITS
+    def test_rejects_length_mismatch(self, small_problem, fit):
+        design, response = small_problem
+        with pytest.raises(ValueError, match="lengths differ"):
+            fit(design, response[:-1])
+
+    @BOTH_FITS
+    def test_rejects_3d_design(self, small_problem, fit):
+        design, response = small_problem
+        with pytest.raises(ValueError, match="2-D"):
+            fit(design.reshape(50, 2, 2), response)
+
+    @BOTH_FITS
+    def test_rejects_zero_rows(self, fit):
+        with pytest.raises(ValueError, match="no rows"):
+            fit(np.zeros((0, 4)), np.zeros(0))

@@ -5,12 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from repro.regression import (
-    fit_lasso,
-    fit_ols,
-    fit_mars,
-    soft_threshold,
-)
+from repro.regression import fit_lasso, fit_mars, fit_ols
+from tests.regression.plain_lasso import soft_threshold
 
 finite_floats = st.floats(
     min_value=-1e6, max_value=1e6, allow_nan=False, allow_infinity=False
