@@ -20,6 +20,7 @@ from repro.serving import (
     ModelRegistry,
     ShardedPowerServer,
     load_replay_fixture,
+    offline_reference,
     protocol,
     replay,
 )
@@ -183,31 +184,47 @@ def test_fleet_scores_bit_identical_across_shards(
     assert all(b > 0 for b in telemetry["router"]["busy_seconds"])
 
 
-def test_shards_1_replay_is_byte_identical_to_single_process(
+def test_golden_replay_delivers_the_pinned_message_stream(
     golden_fixture,
 ):
     """The acceptance gate: the golden fixture replayed through the
-    sharded tier at shards=1 delivers byte-identical prediction
-    messages to the plain single-process server."""
+    default server and through two shards delivers exactly the
+    prediction messages built from the offline reference, byte for
+    byte, and the same fleet total."""
     bundle, machines = golden_fixture
     static = {bundle.platform_key: ("golden@v1", bundle)}
-    plain = replay(machines, static_bundles=static, speed=50.0)
-    sharded = replay(
-        machines, static_bundles=static, speed=50.0, shards=1
-    )
-    assert sharded.total_dropped == 0
-    for machine_id, machine_result in plain.machines.items():
-        assert json.dumps(
-            sharded.machines[machine_id].predictions, sort_keys=True
-        ) == json.dumps(machine_result.predictions, sort_keys=True)
-    assert (
-        sharded.telemetry["samples_scored"]
-        == plain.telemetry["samples_scored"]
-    )
-    assert (
-        sharded.telemetry["cluster"]["total_power_w"]
-        == plain.telemetry["cluster"]["total_power_w"]
-    )
+    expected = {
+        machine.machine_id: [
+            {
+                "type": protocol.PREDICTION,
+                "t": t,
+                "power_w": float(power_w),
+                "patched": False,
+                "drifting": False,
+                "model_version": "golden@v1",
+            }
+            for t, power_w in enumerate(
+                offline_reference(bundle, machine.log)
+            )
+        ]
+        for machine in machines
+    }
+    results = [
+        replay(machines, static_bundles=static, speed=50.0),
+        replay(machines, static_bundles=static, speed=50.0, shards=2),
+    ]
+    for result in results:
+        assert result.total_dropped == 0
+        assert result.telemetry["samples_scored"] == 420
+        assert set(result.machines) == set(expected)
+        for machine_id, messages in expected.items():
+            assert json.dumps(
+                result.machines[machine_id].predictions, sort_keys=True
+            ) == json.dumps(messages, sort_keys=True)
+    totals = [
+        result.telemetry["cluster"]["total_power_w"] for result in results
+    ]
+    assert totals[0] == totals[1]
 
 
 def test_reconnect_same_ring_reuses_the_same_shard(
