@@ -280,14 +280,14 @@ def unit_signature(func: ast.AST) -> Optional[UnitSignature]:
 #: these attributes that spans an interleaving point (``await``/
 #: ``yield``/executor hand-off) without an ``asyncio.Lock`` held.
 SHARED_STATE_ATTRS = frozenset({
-    # PowerServer / ShardedPowerServer
+    # ShardedPowerServer
     "_clients", "_tick_task", "_server", "_registry_generation",
     "last_estimate",
-    # ShardedPowerServer (router-only: ingest buffers swapped to locals
-    # before any await, shard host table mutated only at start/stop)
+    # ShardedPowerServer ingest buffers (swapped to locals before any
+    # await) and shard host table (mutated only at start/stop)
     "_pending_submits", "_pending_drains", "_hosts", "_host_locks",
-    # _Client / _RouterClient
-    "closed", "bye_pending",
+    # _RouterClient
+    "closed",
     # MachineSession
     "_pending", "_next_t", "_started", "_draining", "_n_dispatched",
     "_meter_window", "_last_power_w",

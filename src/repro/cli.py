@@ -227,16 +227,16 @@ def _build_parser() -> argparse.ArgumentParser:
         help="scoring tick period (1.0 matches the 1 Hz counter streams)",
     )
     serve.add_argument(
-        "--shards", type=int, default=None, metavar="N",
-        help="run the sharded serving tier: a consistent-hash router "
-        "in front of N shared-nothing shard workers (omit for the "
-        "single-process server)",
+        "--shards", type=int, default=1, metavar="N",
+        help="shared-nothing shard workers behind the consistent-hash "
+        "router (default 1); pair N > 1 with --shard-backend process "
+        "to score on N cores",
     )
     serve.add_argument(
-        "--shard-backend", default="process",
+        "--shard-backend", default="inline",
         choices=["inline", "process"],
-        help="where shard workers live: their own spawned processes "
-        "(default) or the router's process (deterministic, for tests)",
+        help="where shard workers live: the router's process (default; "
+        "no IPC hop) or one spawned process each",
     )
     serve.add_argument(
         "--sanitize", action="store_true",
@@ -280,16 +280,16 @@ def _build_parser() -> argparse.ArgumentParser:
         "to the offline PlatformModel.predict_log reference",
     )
     rep.add_argument(
-        "--shards", type=int, default=None, metavar="N",
-        help="replay through the sharded serving tier (router + N "
-        "shard workers); scoring stays bit-identical, so --shards 1 "
-        "--verify reproduces the single-process golden gate",
+        "--shards", type=int, default=1, metavar="N",
+        help="shard workers behind the router (default 1); scoring "
+        "stays bit-identical at any N, so --verify holds for every "
+        "topology",
     )
     rep.add_argument(
         "--shard-backend", default="inline",
         choices=["inline", "process"],
-        help="shard worker placement for --shards (inline is "
-        "deterministic and the default for replay)",
+        help="shard worker placement (inline, the default, is "
+        "deterministic)",
     )
     rep.add_argument(
         "--sanitize", action="store_true",
@@ -801,11 +801,7 @@ def _cmd_sweep(args, out) -> int:
 def _cmd_serve(args, out) -> int:
     import asyncio
 
-    from repro.serving import (
-        ModelRegistry,
-        PowerServer,
-        ShardedPowerServer,
-    )
+    from repro.serving import ModelRegistry, ShardedPowerServer
 
     registry = ModelRegistry(args.registry)
     platforms = registry.platforms()
@@ -828,32 +824,20 @@ def _cmd_serve(args, out) -> int:
 
             sanitizer = install_sanitizer(asyncio.get_running_loop())
             array_sanitizer = install_array_sanitizer()
-        if args.shards is not None:
-            server = ShardedPowerServer(
-                registry=registry,
-                n_shards=args.shards,
-                shard_backend=args.shard_backend,
-                host=args.host,
-                port=args.port,
-                tick_interval_s=args.tick_interval_s,
-            )
-            topology = (
-                f" [{args.shards} {args.shard_backend} shard(s)]"
-            )
-        else:
-            server = PowerServer(
-                registry=registry,
-                host=args.host,
-                port=args.port,
-                tick_interval_s=args.tick_interval_s,
-            )
-            topology = ""
+        server = ShardedPowerServer(
+            registry=registry,
+            n_shards=args.shards,
+            shard_backend=args.shard_backend,
+            host=args.host,
+            port=args.port,
+            tick_interval_s=args.tick_interval_s,
+        )
         await server.start()
         print(
             f"chaos-serve listening on {server.host}:{server.port} "
             f"({len(platforms)} platform(s): {', '.join(platforms)}); "
             "Ctrl-C to stop"
-            + topology
+            f" [{args.shards} {args.shard_backend} shard(s)]"
             + (" [sanitizer armed]" if args.sanitize else ""),
             file=out,
         )

@@ -9,9 +9,9 @@ Layers (bottom up):
 * ``batcher``   — micro-batched scoring, one predict per model per tick;
 * ``aggregate`` — Eq. 5 cluster sum with staleness decay;
 * ``stats``     — JSON telemetry surface;
-* ``server``    — the asyncio TCP server tying it together;
 * ``shard``     — shared-nothing shard workers (inline or process);
-* ``router``    — consistent-hash front end + hot-swap barrier;
+* ``router``    — the asyncio TCP server: consistent-hash routing over
+  one inline shard by default (or N), plus the hot-swap barrier;
 * ``replay``    — recorded-cluster replay at a speed multiple.
 
 See ``docs/serving.md`` for the architecture walkthrough.
@@ -51,7 +51,6 @@ from repro.serving.replay import (
     save_replay_fixture,
 )
 from repro.serving.router import HashRing, ShardedPowerServer
-from repro.serving.server import PowerServer
 from repro.serving.session import (
     MachineSession,
     ScoredSample,
@@ -78,7 +77,6 @@ __all__ = [
     "MachineSession",
     "MicroBatchScorer",
     "ModelRegistry",
-    "PowerServer",
     "ProcessShardHost",
     "ProtocolError",
     "RegistryError",

@@ -1,11 +1,12 @@
 """Replay recorded telemetry through a live server, faster than life.
 
-``replay`` spins up a real :class:`PowerServer` on localhost, connects
-one TCP client per recorded machine, and streams each machine's
-:class:`PerfmonLog` as 1 Hz protocol samples at ``speed`` times real
-time.  It exercises the entire production path — wire protocol, session
-reorder buffers, micro-batched scoring, hot-swap polling — and returns
-every delivered prediction plus the server's final telemetry.
+``replay`` spins up a real :class:`ShardedPowerServer` on localhost
+(one inline shard unless asked for more), connects one TCP client per
+recorded machine, and streams each machine's :class:`PerfmonLog` as
+1 Hz protocol samples at ``speed`` times real time.  It exercises the
+entire production path — wire protocol, routing, session reorder
+buffers, micro-batched scoring, hot-swap polling — and returns every
+delivered prediction plus the server's final merged telemetry.
 
 Clients keep a bounded flow-control window (fewer outstanding samples
 than the session queue limit), so a replay never sheds samples no matter
@@ -33,7 +34,7 @@ from repro.serving.bundle import (
     ServingBundle,
     bundle_from_payload,
 )
-from repro.serving.server import PowerServer
+from repro.serving.router import ShardedPowerServer
 from repro.serving.session import SessionConfig
 from repro.telemetry.perfmon import PerfmonLog
 
@@ -193,7 +194,7 @@ async def replay_async(
     session_config: Optional[SessionConfig] = None,
     window: int = DEFAULT_WINDOW,
     sanitize: bool = False,
-    shards: Optional[int] = None,
+    shards: int = 1,
     shard_backend: str = "inline",
 ) -> ReplayResult:
     """Run a full replay inside an existing event loop.
@@ -207,11 +208,10 @@ async def replay_async(
     Scoring is unaffected — the CI golden replay asserts bit-identity
     with both sanitizers armed.
 
-    ``shards`` (None = the plain single-process ``PowerServer``) routes
-    the replay through a :class:`ShardedPowerServer` instead; scoring
-    is bit-identical either way because the predict kernels are
-    batch-size-invariant, so ``--shards 1`` reproduces the golden
-    fixture byte for byte.
+    ``shards`` and ``shard_backend`` set the server's topology.
+    Scoring is bit-identical at any shard count because the predict
+    kernels are batch-size-invariant, so every topology reproduces the
+    golden fixture byte for byte.
     """
     if not machines:
         raise ValueError("need at least one machine to replay")
@@ -232,26 +232,15 @@ async def replay_async(
             f"queue limit {config.queue_limit} (or shedding is possible)"
         )
     interval_s = 1.0 / speed
-    if shards is None:
-        server = PowerServer(
-            registry=registry,
-            static_bundles=static_bundles,
-            tick_interval_s=interval_s,
-            session_config=config,
-        )
-    else:
-        from repro.serving.router import ShardedPowerServer
-
-        server = ShardedPowerServer(
-            registry=registry,
-            static_bundles=static_bundles,
-            n_shards=shards,
-            shard_backend=shard_backend,
-            tick_interval_s=interval_s,
-            session_config=config,
-        )
+    server = ShardedPowerServer(
+        registry=registry,
+        static_bundles=static_bundles,
+        n_shards=shards,
+        shard_backend=shard_backend,
+        tick_interval_s=interval_s,
+        session_config=config,
+    )
     await server.start()
-    merged_telemetry: Optional[dict] = None
     try:
         results = await asyncio.gather(
             *(
@@ -265,37 +254,19 @@ async def replay_async(
                 for machine in machines
             )
         )
-        if shards is not None:
-            merged_telemetry = await server.telemetry_async(
-                extra_session_rows=[
-                    result.session
-                    for result in results
-                    if result.session is not None
-                ]
-            )
+        telemetry = await server.telemetry_async(
+            extra_session_rows=[
+                result.session
+                for result in results
+                if result.session is not None
+            ]
+        )
     finally:
-        final_stats = server.stats
-        cluster = server.last_estimate
         await server.stop()
         if sanitizer is not None:
             sanitizer.uninstall()
         if array_sanitizer is not None:
             array_sanitizer.uninstall()
-    if shards is None:
-        session_rows = [
-            result.session
-            for result in results
-            if result.session is not None
-        ]
-        telemetry = final_stats.snapshot(
-            extra_session_rows=session_rows
-        )
-        telemetry["cluster"] = (
-            cluster.to_payload() if cluster is not None else None
-        )
-    else:
-        assert merged_telemetry is not None
-        telemetry = merged_telemetry
     telemetry["speed"] = speed
     if sanitizer is not None:
         telemetry["sanitizer"] = sanitizer.report()
@@ -316,7 +287,7 @@ def replay(
     session_config: Optional[SessionConfig] = None,
     window: int = DEFAULT_WINDOW,
     sanitize: bool = False,
-    shards: Optional[int] = None,
+    shards: int = 1,
     shard_backend: str = "inline",
 ) -> ReplayResult:
     """Synchronous wrapper: replay a recorded cluster through a server."""

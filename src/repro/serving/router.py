@@ -1,13 +1,18 @@
-"""The sharded serving front end: one router, N shared-nothing shards.
+"""The chaos-serve TCP server: one router in front of N shards.
 
-:class:`ShardedPowerServer` speaks the exact same NDJSON/TCP protocol
-as :class:`PowerServer` but owns no sessions itself: a consistent-hash
-ring (SHA-256, virtual nodes) maps each machine ID to one
-:class:`~repro.serving.shard.ShardWorker`, which holds that machine's
-session, reorder buffer and scoring state exclusively.  Adding shards
-moves only the keys between ring neighbours; everything else stays put.
+:class:`ShardedPowerServer` hosts many machine sessions over
+newline-delimited JSON (``serving/protocol.py``) but owns no sessions
+itself: a consistent-hash ring (SHA-256, virtual nodes) maps each
+machine ID to one :class:`~repro.serving.shard.ShardWorker`, which holds
+that machine's session, reorder buffer and scoring state exclusively.
+By default there is one shard, called in place in the router's process;
+``n_shards=N, shard_backend="process"`` spreads the fleet over N worker
+processes.  Adding shards moves only the keys between ring neighbours;
+everything else stays put.
 
-Per tick the router:
+Connection coroutines only *ingest*: they validate messages and buffer
+samples per shard.  All scoring happens on the tick loop.  Per tick the
+router:
 
 1. runs the **two-phase hot-swap barrier** when its registry generation
    poll moved — every shard stages the new generation (loads bundles,
@@ -17,17 +22,25 @@ Per tick the router:
    platform; a racing publish aborts the round and retries next tick;
 2. flushes its buffered ingest to every shard in one
    ``tick_batch`` call per shard (submits, drain marks, then scoring)
-   — shards tick concurrently on the process backend;
+   — inline shards are called in place, so the tick never yields to
+   the event loop between scoring and writing; process shards tick
+   concurrently;
 3. merges the per-shard Eq. 5 partials into one fleet
    :class:`ClusterEstimate` (:func:`merge_estimates` — exact, because
    Eq. 5 is a plain sum over machines);
-4. writes predictions back with the same buffered-write + bounded
-   drain deadline as the single-process server: a stalled consumer is
-   closed and counted, never allowed to head-of-line-block the fleet.
+4. writes predictions back, buffered, then drains every recipient once
+   under a bounded deadline: a stalled consumer is closed and counted,
+   never allowed to head-of-line-block the fleet;
+5. replies ``drained`` to each machine whose ``bye`` drain completed.
 
-Overload shows up exactly where it does single-process: per-session
-shed/late counters, surfaced through the *merged* ``ServingStats``
-(:func:`merge_snapshots`), identical in shape to one server's snapshot.
+A ``hello`` is answered from its shard's *committed* generation: a
+platform first published while the server runs is rejected until the
+barrier commits it, and accepted from the next tick on.
+
+Models come either from a :class:`ModelRegistry` (live, hot-swappable)
+or from a static ``{platform: (version, bundle)}`` mapping (replay and
+tests).  Overload shows up as per-session shed/late counters, surfaced
+through the *merged* ``ServingStats`` (:func:`merge_snapshots`).
 """
 
 from __future__ import annotations
@@ -103,25 +116,22 @@ class HashRing:
 
 
 class _RouterClient:
-    """One connected machine: its write half plus routing state."""
+    """One connected machine: its write half and its owning shard."""
 
     def __init__(
         self,
         machine_id: str,
-        platform_key: str,
         shard_index: int,
         writer: asyncio.StreamWriter,
     ):
         self.machine_id = machine_id
-        self.platform_key = platform_key
         self.shard_index = shard_index
         self.writer = writer
-        self.bye_pending = False
         self.closed = False
 
 
 class ShardedPowerServer:
-    """Protocol-compatible sharded replacement for ``PowerServer``."""
+    """Scores counter streams from a fleet of machines, over shards."""
 
     def __init__(
         self,
@@ -129,7 +139,7 @@ class ShardedPowerServer:
         static_bundles: Optional[
             dict[str, tuple[str, ServingBundle]]
         ] = None,
-        n_shards: int = 2,
+        n_shards: int = 1,
         shard_backend: str = "inline",
         host: str = "127.0.0.1",
         port: int = 0,
@@ -213,16 +223,25 @@ class ShardedPowerServer:
         self._tick_task = asyncio.ensure_future(self._tick_loop())
 
     async def stop(self) -> None:
-        # Swap shared handles into locals *before* awaiting (the same
-        # discipline as PowerServer.stop): a second stop interleaving
-        # at the await must see the attribute already cleared.
+        """Close the listener, every client and every shard host.
+
+        This runs to the end however the tick task ended.  If the tick
+        died of an exception, that exception is raised once everything
+        is closed, so the fault stays visible.
+        """
+        # Swap shared handles into locals *before* awaiting: a second
+        # stop() (or a restart) interleaving at the await must see the
+        # attribute already cleared, not clobber its update afterwards.
         tick_task, self._tick_task = self._tick_task, None
+        tick_error: Optional[Exception] = None
         if tick_task is not None:
             tick_task.cancel()
             try:
                 await tick_task
             except asyncio.CancelledError:
                 pass
+            except Exception as error:
+                tick_error = error
         server, self._server = self._server, None
         if server is not None:
             server.close()
@@ -232,33 +251,45 @@ class ShardedPowerServer:
         hosts, self._hosts = self._hosts, []
         for host in hosts:
             host.close()
+        if tick_error is not None:
+            raise tick_error
 
     # -- shard access --------------------------------------------------
-    async def _shard_call(
-        self, shard_index: int, command: str, payload: Any = None
-    ) -> Any:
-        """One serialized command against one shard.
+    async def _call_shards(
+        self, command: str, payloads: dict[int, Any]
+    ) -> list:
+        """``command`` on each shard in ``payloads`` (shard index ->
+        payload); the results come back in the same order.
 
-        The per-shard lock keeps exactly one command in flight per pipe
-        (required by the process host's request/reply framing); calls
-        to *different* shards run concurrently — gathering tick_batch
-        across the fleet is the scaling axis.
+        Inline hosts are called in place, one after another, with no
+        Task: a tick over inline shards never yields to the event loop
+        between scoring and writing.  Process hosts are gathered, each
+        call in the default executor under its shard's lock.  The lock
+        keeps exactly one command in flight per pipe (the process
+        host's request/reply framing needs it); calls to *different*
+        shards run concurrently, which is the scaling axis.
         """
-        host = self._hosts[shard_index]
-        async with self._host_locks[shard_index]:
-            if host.backend == "process":
-                loop = asyncio.get_running_loop()
+        hosts = self._hosts
+        if self.shard_backend == "inline":
+            return [
+                hosts[index].call(command, payload)
+                for index, payload in payloads.items()
+            ]
+        loop = asyncio.get_running_loop()
+
+        async def call(index: int, payload: Any) -> Any:
+            async with self._host_locks[index]:
                 return await loop.run_in_executor(
-                    None, host.call, command, payload
+                    None, hosts[index].call, command, payload
                 )
-            return host.call(command, payload)
+
+        return await asyncio.gather(
+            *(call(index, payload) for index, payload in payloads.items())
+        )
 
     async def _all_shards(self, command: str, payload: Any = None) -> list:
-        return await asyncio.gather(
-            *(
-                self._shard_call(index, command, payload)
-                for index in range(len(self._hosts))
-            )
+        return await self._call_shards(
+            command, dict.fromkeys(range(len(self._hosts)), payload)
         )
 
     # -- the hot-swap barrier ------------------------------------------
@@ -311,18 +342,12 @@ class ShardedPowerServer:
             self._pending_drains,
             [[] for _ in self._hosts],
         )
-        results = await asyncio.gather(
-            *(
-                self._shard_call(
-                    index,
-                    "tick_batch",
-                    {
-                        "submits": submits[index],
-                        "drains": drains[index],
-                    },
-                )
+        results = await self._call_shards(
+            "tick_batch",
+            {
+                index: {"submits": submits[index], "drains": drains[index]}
                 for index in range(len(self._hosts))
-            )
+            },
         )
         self.n_ticks += 1
         recipients: dict[str, _RouterClient] = {}
@@ -418,10 +443,9 @@ class ShardedPowerServer:
         self._clients.pop(client.machine_id, None)
         if close_shard:
             try:
-                await self._shard_call(
-                    client.shard_index,
+                await self._call_shards(
                     "close_session",
-                    {"machine_id": client.machine_id},
+                    {client.shard_index: {"machine_id": client.machine_id}},
                 )
             except ShardError:
                 pass
@@ -476,18 +500,20 @@ class ShardedPowerServer:
             )
             return
         shard_index = self.ring.owner(machine_id)
-        client = _RouterClient(
-            machine_id, platform_key, shard_index, writer
-        )
+        client = _RouterClient(machine_id, shard_index, writer)
         # Reserve the slot before the shard round-trip: a second hello
         # for the same machine interleaving at the await must already
         # see the ID taken.
         self._clients[machine_id] = client
         try:
-            info = await self._shard_call(
-                shard_index,
+            (info,) = await self._call_shards(
                 "open_session",
-                {"machine_id": machine_id, "platform": platform_key},
+                {
+                    shard_index: {
+                        "machine_id": machine_id,
+                        "platform": platform_key,
+                    }
+                },
             )
         except ShardError as error:
             self._clients.pop(machine_id, None)
@@ -514,7 +540,7 @@ class ShardedPowerServer:
                 line = await reader.readline()
             except ValueError:
                 # Oversized mid-stream line: same accounting as the
-                # hello path and the single-process server.
+                # hello path (error counted and sent, then closed).
                 self.stats.n_protocol_errors += 1
                 await self._send(
                     client,
@@ -547,7 +573,6 @@ class ShardedPowerServer:
                         },
                     )
                 elif kind == protocol.BYE:
-                    client.bye_pending = True
                     self._pending_drains[client.shard_index].append(
                         client.machine_id
                     )
@@ -577,7 +602,7 @@ class ShardedPowerServer:
     async def telemetry_async(
         self, extra_session_rows: Iterable[dict] = ()
     ) -> dict:
-        """The merged fleet snapshot, same shape as one server's.
+        """The merged fleet snapshot, same shape as one shard's.
 
         The router's own snapshot contributes the transport counters
         (protocol errors, stalled closes); each shard contributes its

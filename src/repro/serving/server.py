@@ -1,406 +1,18 @@
-"""The chaos-serve asyncio TCP server.
+"""``PowerServer``: the old name of :class:`ShardedPowerServer`.
 
-One ``PowerServer`` hosts many machine sessions over newline-delimited
-JSON (``serving/protocol.py``).  Per-connection reader coroutines only
-*ingest* — they validate messages and push samples into the session's
-reorder buffer.  All scoring happens on the single tick loop:
+chaos-serve has one server, the router in ``serving/router.py``, which
+serves through one inline shard by default.  This alias is kept only
+because the benchmark harness probes ``run_tick`` under both names
+(``perfbench/spans.py``) with no fallback, and it must keep running
+unchanged against commits that still have a separate single-process
+server.  Without this module its traced runs fail to import.  Both
+probes now wrap the same method; the metrics that read them count busy
+time once and sum self time, so they stay correct.
 
-1. poll the registry ``generation`` and hot-swap sessions whose platform
-   has a new live version (in-flight samples are untouched: each is
-   scored exactly once by whichever model is installed at its turn);
-2. run the micro-batch scorer over every session and write each
-   prediction back to its machine's connection, in ``t`` order;
-3. advance the Eq. 5 cluster aggregate;
-4. finish any session whose client said ``bye`` and whose queue has
-   drained, replying ``drained`` with the session's final telemetry.
-
-Models come either from a :class:`ModelRegistry` (live, hot-swappable)
-or from a static ``{platform: (version, bundle)}`` mapping (replay and
-tests).
+Nothing else uses the name and :mod:`repro.serving` does not export it:
+name :class:`ShardedPowerServer` instead.
 """
 
-from __future__ import annotations
+from repro.serving.router import ShardedPowerServer
 
-import asyncio
-from typing import Iterable, Optional
-
-from repro.serving import protocol
-from repro.serving.aggregate import ClusterAggregator, ClusterEstimate
-from repro.serving.batcher import MicroBatchScorer
-from repro.serving.bundle import ServingBundle
-from repro.serving.registry import ModelRegistry
-from repro.serving.session import MachineSession, SessionConfig
-from repro.serving.stats import ServingStats
-
-
-class _Client:
-    """One connected machine: its session plus its write half."""
-
-    def __init__(
-        self,
-        session: MachineSession,
-        writer: asyncio.StreamWriter,
-    ):
-        self.session = session
-        self.writer = writer
-        self.bye_pending = False
-        self.closed = False
-
-
-class PowerServer:
-    """Scores counter streams from a fleet of machines."""
-
-    def __init__(
-        self,
-        registry: Optional[ModelRegistry] = None,
-        static_bundles: Optional[
-            dict[str, tuple[str, ServingBundle]]
-        ] = None,
-        host: str = "127.0.0.1",
-        port: int = 0,
-        tick_interval_s: float = 1.0,
-        session_config: Optional[SessionConfig] = None,
-        max_samples_per_session: Optional[int] = None,
-        drain_timeout_s: float = 2.0,
-    ):
-        if (registry is None) == (static_bundles is None):
-            raise ValueError(
-                "provide exactly one of registry or static_bundles"
-            )
-        self.registry = registry
-        self.static_bundles = static_bundles
-        self.host = host
-        self.port = port
-        if tick_interval_s <= 0:
-            raise ValueError("tick_interval_s must be positive")
-        if drain_timeout_s <= 0:
-            raise ValueError("drain_timeout_s must be positive")
-        self.tick_interval_s = tick_interval_s
-        self.drain_timeout_s = drain_timeout_s
-        self.session_config = session_config or SessionConfig()
-        self.stats = ServingStats()
-        self.batcher = MicroBatchScorer(
-            stats=self.stats,
-            max_samples_per_session=max_samples_per_session,
-        )
-        self.aggregator = ClusterAggregator()
-        self.last_estimate: Optional[ClusterEstimate] = None
-        self._clients: dict[str, _Client] = {}
-        self._server: Optional[asyncio.base_events.Server] = None
-        self._tick_task: Optional[asyncio.Task] = None
-        self._registry_generation = (
-            registry.generation if registry is not None else 0
-        )
-
-    # -- lifecycle -----------------------------------------------------
-    async def start(self) -> None:
-        """Bind and start ticking; ``self.port`` is the bound port."""
-        self._server = await asyncio.start_server(
-            self._handle_connection,
-            host=self.host,
-            port=self.port,
-            limit=protocol.MAX_LINE_BYTES,
-        )
-        self.port = self._server.sockets[0].getsockname()[1]
-        self._tick_task = asyncio.ensure_future(self._tick_loop())
-
-    async def stop(self) -> None:
-        # Swap shared handles into locals *before* awaiting: a second
-        # stop() (or a restart) interleaving at the await must see the
-        # attribute already cleared, not clobber its update afterwards.
-        tick_task, self._tick_task = self._tick_task, None
-        if tick_task is not None:
-            tick_task.cancel()
-            try:
-                await tick_task
-            except asyncio.CancelledError:
-                pass
-        server, self._server = self._server, None
-        if server is not None:
-            server.close()
-            await server.wait_closed()
-        for client in list(self._clients.values()):
-            await self._close_client(client)
-
-    @property
-    def sessions(self) -> list[MachineSession]:
-        return [client.session for client in self._clients.values()]
-
-    def telemetry(self) -> dict:
-        """The full JSON-safe telemetry snapshot."""
-        snapshot = self.stats.snapshot(self.sessions)
-        snapshot["cluster"] = (
-            self.last_estimate.to_payload()
-            if self.last_estimate is not None
-            else None
-        )
-        if self.registry is not None:
-            snapshot["registry"] = self.registry.snapshot()
-        return snapshot
-
-    # -- model resolution ----------------------------------------------
-    def _resolve_bundle(
-        self, platform_key: str
-    ) -> Optional[tuple[str, ServingBundle]]:
-        if self.static_bundles is not None:
-            return self.static_bundles.get(platform_key)
-        assert self.registry is not None
-        live = self.registry.live_bundle(platform_key)
-        if live is None:
-            return None
-        version, bundle = live
-        return version.label, bundle
-
-    def _poll_registry(self) -> None:
-        """Hot-swap sessions when the registry generation moved."""
-        if self.registry is None:
-            return
-        generation = self.registry.generation
-        if generation == self._registry_generation:
-            return
-        self._registry_generation = generation
-        for client in self._clients.values():
-            resolved = self._resolve_bundle(client.session.platform_key)
-            if resolved is None:
-                continue
-            version, bundle = resolved
-            if version != client.session.model_version:
-                client.session.adopt_bundle(version, bundle)
-                self.stats.n_hot_swaps += 1
-
-    # -- tick loop -----------------------------------------------------
-    async def _tick_loop(self) -> None:
-        while True:
-            await asyncio.sleep(self.tick_interval_s)
-            await self.run_tick()
-
-    async def run_tick(self) -> None:
-        """One scoring tick (public so tests can drive it directly).
-
-        Predictions are *buffered* onto each client's transport and
-        drained concurrently once per tick with a deadline: one stalled
-        consumer can no longer head-of-line-block scoring for every
-        other session — it is closed (and counted) instead.
-        """
-        self._poll_registry()
-        scored = self.batcher.tick(self.sessions)
-        recipients: dict[str, _Client] = {}
-        for sample in scored:
-            client = self._clients.get(sample.machine_id)
-            if client is None or client.closed:
-                continue
-            if self._buffer_send(
-                client,
-                {
-                    "type": protocol.PREDICTION,
-                    "t": sample.t,
-                    "power_w": sample.power_w,
-                    "patched": sample.patched,
-                    "drifting": sample.drifting,
-                    "model_version": sample.model_version,
-                },
-            ):
-                recipients[sample.machine_id] = client
-            else:
-                await self._close_client(client)
-        await self._drain_clients(recipients.values())
-        self.last_estimate = self.aggregator.tick(self.sessions)
-        for client in list(self._clients.values()):
-            if client.bye_pending and client.session.pending_count == 0:
-                if self._buffer_send(
-                    client,
-                    {
-                        "type": protocol.DRAINED,
-                        "session": client.session.snapshot(),
-                    },
-                ):
-                    await self._drain_one(client)
-                await self._close_client(client)
-
-    # -- connection handling -------------------------------------------
-    def _buffer_send(self, client: _Client, message: dict) -> bool:
-        """Queue one message on the client's transport, without draining."""
-        if client.closed:
-            return False
-        try:
-            client.writer.write(protocol.encode_message(message))
-        except (ConnectionError, RuntimeError):
-            return False
-        return True
-
-    async def _drain_one(self, client: _Client) -> None:
-        """Flush one client's buffered writes, bounded by the deadline."""
-        try:
-            await asyncio.wait_for(
-                client.writer.drain(), timeout=self.drain_timeout_s
-            )
-        except asyncio.TimeoutError:
-            self.stats.n_stalled_closed += 1
-            await self._close_client(client)
-        except (ConnectionError, RuntimeError):
-            await self._close_client(client)
-
-    async def _drain_clients(self, clients: "Iterable[_Client]") -> None:
-        """Drain every recipient concurrently; stalled peers get closed.
-
-        The whole flush costs at most one deadline of wall clock per
-        tick regardless of how many peers stall.
-        """
-        pending = [client for client in clients if not client.closed]
-        if not pending:
-            return
-        await asyncio.gather(
-            *(self._drain_one(client) for client in pending)
-        )
-
-    async def _send(self, client: _Client, message: dict) -> None:
-        if client.closed:
-            return
-        try:
-            client.writer.write(protocol.encode_message(message))
-            await client.writer.drain()
-        except (ConnectionError, RuntimeError):
-            await self._close_client(client)
-
-    async def _close_client(self, client: _Client) -> None:
-        if client.closed:
-            return
-        client.closed = True
-        self._clients.pop(client.session.machine_id, None)
-        self.stats.n_sessions_closed += 1
-        try:
-            client.writer.close()
-            await client.writer.wait_closed()
-        except (ConnectionError, RuntimeError):
-            pass
-
-    async def _reject(
-        self, writer: asyncio.StreamWriter, error: str
-    ) -> None:
-        self.stats.n_protocol_errors += 1
-        try:
-            writer.write(
-                protocol.encode_message(
-                    {"type": protocol.ERROR, "error": error}
-                )
-            )
-            await writer.drain()
-            writer.close()
-            await writer.wait_closed()
-        except (ConnectionError, RuntimeError):
-            pass
-
-    async def _handle_connection(
-        self,
-        reader: asyncio.StreamReader,
-        writer: asyncio.StreamWriter,
-    ) -> None:
-        try:
-            line = await reader.readline()
-        except ValueError:
-            await self._reject(writer, "oversized hello line")
-            return
-        if not line:
-            writer.close()
-            return
-        try:
-            message = protocol.decode_line(line)
-            if message["type"] != protocol.HELLO:
-                raise protocol.ProtocolError(
-                    "the first message must be a hello"
-                )
-            machine_id, platform_key = protocol.parse_hello(message)
-        except protocol.ProtocolError as error:
-            await self._reject(writer, str(error))
-            return
-        if machine_id in self._clients:
-            await self._reject(
-                writer, f"machine {machine_id!r} already has a session"
-            )
-            return
-        resolved = self._resolve_bundle(platform_key)
-        if resolved is None:
-            await self._reject(
-                writer, f"no live model for platform {platform_key!r}"
-            )
-            return
-        version, bundle = resolved
-        session = MachineSession(
-            machine_id=machine_id,
-            bundle_version=version,
-            bundle=bundle,
-            config=self.session_config,
-        )
-        client = _Client(session, writer)
-        self._clients[machine_id] = client
-        self.stats.n_sessions_opened += 1
-        await self._send(
-            client,
-            {
-                "type": protocol.WELCOME,
-                "protocol_version": protocol.PROTOCOL_VERSION,
-                "machine_id": machine_id,
-                "model_version": version,
-                "required_counters": session.predictor.required_counters,
-            },
-        )
-        await self._read_loop(reader, client)
-
-    async def _read_loop(
-        self, reader: asyncio.StreamReader, client: _Client
-    ) -> None:
-        while not client.closed:
-            try:
-                line = await reader.readline()
-            except ValueError:
-                # Oversized line mid-stream: account identically to the
-                # hello path — protocol error counted, ERROR sent, then
-                # the connection is closed (not a silent abrupt close).
-                self.stats.n_protocol_errors += 1
-                await self._send(
-                    client,
-                    {
-                        "type": protocol.ERROR,
-                        "error": "oversized line",
-                    },
-                )
-                await self._close_client(client)
-                return
-            except ConnectionError:
-                break
-            if not line:
-                break
-            try:
-                message = protocol.decode_line(line)
-                kind = message["type"]
-                if kind == protocol.SAMPLE:
-                    t, counters, meter_w = protocol.parse_sample(message)
-                    client.session.submit(t, counters, meter_w)
-                elif kind == protocol.STATS:
-                    await self._send(
-                        client,
-                        {
-                            "type": protocol.STATS,
-                            "stats": self.telemetry(),
-                        },
-                    )
-                elif kind == protocol.BYE:
-                    client.bye_pending = True
-                    client.session.begin_drain()
-                    # Stop reading; the tick loop sends `drained` and
-                    # closes once the queue empties.
-                    return
-                else:
-                    raise protocol.ProtocolError(
-                        f"unexpected message type {kind!r}"
-                    )
-            except protocol.ProtocolError as error:
-                self.stats.n_protocol_errors += 1
-                await self._send(
-                    client,
-                    {"type": protocol.ERROR, "error": str(error)},
-                )
-                await self._close_client(client)
-                return
-        # EOF without bye: abrupt disconnect, drop whatever is pending.
-        await self._close_client(client)
+PowerServer = ShardedPowerServer
