@@ -48,6 +48,7 @@ from __future__ import annotations
 import asyncio
 import bisect
 import hashlib
+from dataclasses import dataclass
 from typing import Any, Iterable, Optional
 
 from repro.serving import protocol
@@ -115,19 +116,14 @@ class HashRing:
         return parts
 
 
+@dataclass(eq=False)
 class _RouterClient:
     """One connected machine: its write half and its owning shard."""
 
-    def __init__(
-        self,
-        machine_id: str,
-        shard_index: int,
-        writer: asyncio.StreamWriter,
-    ):
-        self.machine_id = machine_id
-        self.shard_index = shard_index
-        self.writer = writer
-        self.closed = False
+    machine_id: str
+    shard_index: int
+    writer: asyncio.StreamWriter
+    closed: bool = False
 
 
 class ShardedPowerServer:
@@ -242,15 +238,17 @@ class ShardedPowerServer:
                 pass
             except Exception as error:
                 tick_error = error
-        server, self._server = self._server, None
-        if server is not None:
-            server.close()
-            await server.wait_closed()
-        for client in list(self._clients.values()):
-            await self._close_client(client)
-        hosts, self._hosts = self._hosts, []
-        for host in hosts:
-            host.close()
+        try:
+            server, self._server = self._server, None
+            if server is not None:
+                server.close()
+                await server.wait_closed()
+            for client in list(self._clients.values()):
+                await self._close_client(client)
+        finally:
+            hosts, self._hosts = self._hosts, []
+            for host in hosts:
+                host.close()
         if tick_error is not None:
             raise tick_error
 
@@ -267,7 +265,9 @@ class ShardedPowerServer:
         call in the default executor under its shard's lock.  The lock
         keeps exactly one command in flight per pipe (the process
         host's request/reply framing needs it); calls to *different*
-        shards run concurrently, which is the scaling axis.
+        shards run concurrently, which is the scaling axis.  A failed
+        call is raised only once every call has returned, so no
+        command is left in flight on a pipe that ``stop()`` closes.
         """
         hosts = self._hosts
         if self.shard_backend == "inline":
@@ -283,9 +283,14 @@ class ShardedPowerServer:
                     None, hosts[index].call, command, payload
                 )
 
-        return await asyncio.gather(
-            *(call(index, payload) for index, payload in payloads.items())
+        results = await asyncio.gather(
+            *(call(index, payload) for index, payload in payloads.items()),
+            return_exceptions=True,
         )
+        for result in results:
+            if isinstance(result, BaseException):
+                raise result
+        return results
 
     async def _all_shards(self, command: str, payload: Any = None) -> list:
         return await self._call_shards(

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -21,6 +22,7 @@ import pytest
 from repro.serving import (
     ModelRegistry,
     SessionConfig,
+    ShardError,
     ShardedPowerServer,
     load_replay_fixture,
     offline_reference,
@@ -948,3 +950,71 @@ def test_stop_closes_everything_after_the_tick_dies(scenario):
     assert tail == b""
     assert clients == {}
     assert hosts == []
+
+
+def test_stop_closes_the_surviving_process_shard_after_one_dies(scenario):
+    """Regression: killing one of two process shards ends the tick with
+    ``ShardError``, and ``stop()`` used to re-raise it before closing
+    anything, so the surviving shard process stayed alive.  The failed
+    fan-out now waits for the survivor's in-flight tick, and ``stop()``
+    closes both hosts before raising the ``ShardError``."""
+
+    async def scenario_run():
+        server = ShardedPowerServer(
+            static_bundles={
+                scenario.platform_key: ("Q@v1", scenario.bundle("Q"))
+            },
+            n_shards=2,
+            shard_backend="process",
+            tick_interval_s=TICK_S,
+        )
+        await server.start()
+        processes = [host._process for host in server._hosts]
+        processes[0].kill()
+        done, _ = await asyncio.wait({server._tick_task}, timeout=30.0)
+        assert done, "the tick task never ended"
+        with pytest.raises(ShardError, match="died mid-command"):
+            await server.stop()
+        for process in processes:
+            process.join(timeout=10.0)
+        return [process.is_alive() for process in processes], server._hosts
+
+    alive, hosts = _run(scenario_run())
+    assert alive == [False, False]
+    assert hosts == []
+
+
+def test_failed_process_fan_out_waits_for_every_call(scenario):
+    """A process fan-out raises one shard's error only after every
+    other shard's call has returned: otherwise ``stop()`` could close a
+    pipe whose reply another thread is still reading."""
+    release = threading.Event()
+    finished = []
+
+    class DeadHost:
+        def call(self, command, payload=None):
+            raise ShardError("shard process died mid-command")
+
+    class SlowHost:
+        def call(self, command, payload=None):
+            release.wait(timeout=10.0)
+            finished.append(command)
+
+    async def scenario_run():
+        server = ShardedPowerServer(
+            static_bundles={}, n_shards=2, shard_backend="process"
+        )
+        server._hosts = [DeadHost(), SlowHost()]
+        server._host_locks = [asyncio.Lock(), asyncio.Lock()]
+        fan_out = asyncio.ensure_future(
+            server._call_shards("tick_batch", {0: None, 1: None})
+        )
+        await asyncio.sleep(0.05)
+        pending = not fan_out.done()
+        release.set()
+        with pytest.raises(ShardError, match="died mid-command"):
+            await fan_out
+        return pending
+
+    assert _run(scenario_run())
+    assert finished == ["tick_batch"]
