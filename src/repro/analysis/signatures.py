@@ -545,7 +545,8 @@ ARRAY_CONTRACTS: Dict[str, ArrayContract] = {
     "dynamic_range": ArrayContract(
         "dynamic_range", params=(("actual", _vec("n")),),
     ),
-    # serving — feature rows and the drift envelope's training design.
+    # serving — feature rows, the drift envelope's training design and
+    # the drift block's per-group update (one row per distinct slot).
     "make_bundle": ArrayContract(
         "make_bundle",
         params=(
@@ -556,6 +557,14 @@ ARRAY_CONTRACTS: Dict[str, ArrayContract] = {
     "prepare_row": ArrayContract("prepare_row", returns=_vec("k")),
     "observe": ArrayContract(
         "observe", params=(("sample", _vec("k")),),
+    ),
+    "observe_rows": ArrayContract(
+        "observe_rows",
+        params=(
+            ("slots", ArraySpec(shape=("n",), dtype="int64")),
+            ("rows", _vec("n", "k", contiguous=True)),
+        ),
+        returns=ArraySpec(shape=("n",), dtype="bool"),
     ),
     "offline_reference": ArrayContract(
         "offline_reference", returns=_vec("n"),

@@ -14,13 +14,20 @@ training distribution would produce, the agent should flag the model for
 regeneration — turning the cross-workload caveat into an operational
 signal instead of silent error.
 
-Serving calls :meth:`InputDriftDetector.observe` once per scored sample,
-so the trailing window is a preallocated ring with running counts: each
-sample costs O(features), not O(window).
+The trailing windows live in a :class:`DriftBlock`: for every stream
+judged against one envelope, a preallocated ring of per-feature
+"outside" flags with running counts, one slot per stream.  Serving
+gives each session on a bundle a slot in that bundle's block and
+updates a whole model group with one :meth:`DriftBlock.observe_rows`
+per position in the sessions' ready runs (one per tick in steady
+state), a fixed number of numpy calls whatever the group's size.  A
+standalone detector is the one-stream view: it owns a block of one
+slot, so :meth:`InputDriftDetector.observe` runs the same arithmetic.
 """
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -71,14 +78,13 @@ class InputDriftDetector:
 
     _low: np.ndarray | None = field(default=None, init=False)
     _high: np.ndarray | None = field(default=None, init=False)
-    # The trailing window: a ring of per-sample "outside" rows with
-    # running per-feature and any-feature counts over the slots in use.
-    _outside: np.ndarray = field(init=False, repr=False, compare=False)
-    _any_outside: np.ndarray = field(init=False, repr=False, compare=False)
-    _counts: np.ndarray = field(init=False, repr=False, compare=False)
-    _n_any: int = field(default=0, init=False, repr=False, compare=False)
-    _head: int = field(default=0, init=False, repr=False, compare=False)
-    _fill: int = field(default=0, init=False, repr=False, compare=False)
+    # The trailing window: one slot of a DriftBlock (a private block of
+    # one slot, built on the first observe, or a slot of a shared block
+    # handed out by DriftBlock.open_window).
+    _block: DriftBlock | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
+    _slot: int = field(default=0, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.feature_names:
@@ -87,11 +93,6 @@ class InputDriftDetector:
             raise ValueError("envelope_quantile must be in (0.5, 1)")
         if self.window_seconds < 1 or self.min_samples < 1:
             raise ValueError("window and min_samples must be positive")
-        self._outside = np.zeros(
-            (self.window_seconds, len(self.feature_names)), dtype=bool
-        )
-        self._any_outside = np.zeros(self.window_seconds, dtype=bool)
-        self._counts = np.zeros(len(self.feature_names), dtype=np.int64)
 
     # ------------------------------------------------------------------
     @property
@@ -102,7 +103,19 @@ class InputDriftDetector:
     def has_observations(self) -> bool:
         """Whether the window holds a sample (False after construction
         or :meth:`reset`, when :meth:`verdict` would raise)."""
-        return self._fill > 0
+        return self._block is not None and self._block.fill(self._slot) > 0
+
+    @property
+    def block(self) -> DriftBlock | None:
+        """The block holding this detector's window (None before the
+        first observe of a standalone detector, and after
+        :meth:`release`)."""
+        return self._block
+
+    @property
+    def slot(self) -> int:
+        """This detector's slot in :attr:`block`."""
+        return self._slot
 
     @property
     def expected_fraction(self) -> float:
@@ -186,32 +199,24 @@ class InputDriftDetector:
                 f"sample has {row.shape[0]} values, expected "
                 f"{len(self.feature_names)}"
             )
-        outside = (row < self._low) | (row > self._high)
-        any_outside = bool(outside.any())
-        slot = self._head
-        if self._fill == self.window_seconds:
-            self._counts -= self._outside[slot]
-            self._n_any -= int(self._any_outside[slot])
-        else:
-            self._fill += 1
-        self._outside[slot] = outside
-        self._any_outside[slot] = any_outside
-        self._counts += outside
-        self._n_any += any_outside
-        self._head = (slot + 1) % self.window_seconds
+        if self._block is None:
+            self._block = DriftBlock(self)
+            self._slot = self._block.acquire()
+        self._block.observe_rows(np.array([self._slot]), row[None, :])
         return self.verdict()
 
     def verdict(self) -> DriftVerdict:
         """Current assessment over the trailing window."""
-        n = self._fill
+        n = 0 if self._block is None else self._block.fill(self._slot)
         if n == 0:
             raise RuntimeError("no samples observed yet")
+        n_any, counts = self._block.counts(self._slot)
         # Exact integer counts over n: the same doubles as averaging the
         # window's 0/1 rows, and argmax over counts picks the same first
         # worst feature as argmax over counts / n.
-        fraction = self._n_any / n
-        worst_index = int(np.argmax(self._counts))
-        worst_count = int(self._counts[worst_index])
+        fraction = n_any / n
+        worst_index = int(np.argmax(counts))
+        worst_count = int(counts[worst_index])
         expected = self.expected_fraction
         return DriftVerdict(
             drifting=(
@@ -228,9 +233,133 @@ class InputDriftDetector:
 
     def reset(self) -> None:
         """Clear the observation window (envelope is kept)."""
-        self._outside[:] = False
-        self._any_outside[:] = False
-        self._counts[:] = 0
-        self._n_any = 0
-        self._head = 0
-        self._fill = 0
+        if self._block is not None:
+            self._block.clear(self._slot)
+
+    def release(self) -> None:
+        """Give the window's slot back to its block.
+
+        The window is cleared; a later :meth:`observe` starts a fresh
+        private window.  Releasing twice is harmless.
+        """
+        if self._block is not None:
+            self._block.release(self._slot)
+            self._block = None
+
+
+class DriftBlock:
+    """The trailing drift windows of many streams judged by one rule.
+
+    The rule is a fitted :class:`InputDriftDetector`: its envelope,
+    window length, ``min_samples`` and trigger.  Each stream holds one
+    slot; per slot the block keeps a ring of ``window × features``
+    outside flags and ``window`` any-outside flags, per-feature counts,
+    an any-count, a head and a fill.  A released slot is zeroed, so the
+    ring entry a filling window overwrites is always all-False and an
+    update can subtract it unconditionally.  Capacity doubles when every
+    slot is taken and never shrinks; released slots are reused.
+    """
+
+    def __init__(self, rule: InputDriftDetector):
+        if not rule.is_fitted:
+            raise RuntimeError("detector is not fitted")
+        self.rule = rule
+        self.window_seconds = rule.window_seconds
+        self.n_features = len(rule.feature_names)
+        self._outside = np.zeros(
+            (0, self.window_seconds, self.n_features), dtype=bool
+        )
+        self._any_outside = np.zeros((0, self.window_seconds), dtype=bool)
+        self._counts = np.zeros((0, self.n_features), dtype=np.int64)
+        self._n_any = np.zeros(0, dtype=np.int64)
+        self._head = np.zeros(0, dtype=np.int64)
+        self._fill = np.zeros(0, dtype=np.int64)
+        self._free: list[int] = []
+
+    # -- slots ---------------------------------------------------------
+    @property
+    def capacity(self) -> int:
+        return self._fill.shape[0]
+
+    def live_slots(self) -> frozenset[int]:
+        """The slots streams hold now."""
+        return frozenset(range(self.capacity)) - frozenset(self._free)
+
+    def acquire(self) -> int:
+        """A free slot with an empty window."""
+        if not self._free:
+            self._grow(max(1, 2 * self.capacity))
+        return self._free.pop()
+
+    def release(self, slot: int) -> None:
+        self.clear(slot)
+        self._free.append(slot)
+
+    def open_window(self) -> InputDriftDetector:
+        """A detector with this block's rule and a fresh slot's window."""
+        detector = copy.copy(self.rule)
+        detector._block = self
+        detector._slot = self.acquire()
+        return detector
+
+    def _grow(self, capacity: int) -> None:
+        old = self.capacity
+        for name in (
+            "_outside", "_any_outside", "_counts", "_n_any", "_head",
+            "_fill",
+        ):
+            array = getattr(self, name)
+            grown = np.zeros((capacity,) + array.shape[1:], array.dtype)
+            grown[:old] = array
+            setattr(self, name, grown)
+        # Popped from the end: the lowest new slot is handed out first.
+        self._free.extend(range(capacity - 1, old - 1, -1))
+
+    # -- one slot's window ---------------------------------------------
+    def fill(self, slot: int) -> int:
+        """How many samples the slot's window holds."""
+        return int(self._fill[slot])
+
+    def counts(self, slot: int) -> tuple[int, np.ndarray]:
+        """The slot's any-outside count and per-feature outside counts."""
+        return int(self._n_any[slot]), self._counts[slot]
+
+    def clear(self, slot: int) -> None:
+        self._outside[slot] = False
+        self._any_outside[slot] = False
+        self._counts[slot] = 0
+        self._n_any[slot] = 0
+        self._head[slot] = 0
+        self._fill[slot] = 0
+
+    # -- the update ----------------------------------------------------
+    @contracted
+    def observe_rows(self, slots: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        """Ingest ``rows[i]`` into slot ``slots[i]``; returns each
+        sample's ``drifting``.
+
+        The slots must be distinct: a stream with several samples to
+        ingest takes one call per sample, in order, so a run longer than
+        the window stays exact.  ``drifting`` is the verdict's rule over
+        the integer counts (``fill >= min_samples`` and ``n_any / fill``
+        above the trigger); the per-feature worst is left to
+        :meth:`InputDriftDetector.verdict`.
+        """
+        rule = self.rule
+        outside = (rows < rule._low) | (rows > rule._high)
+        any_outside = outside.any(axis=1)
+        heads = self._head[slots]
+        self._counts[slots] += np.subtract(
+            outside, self._outside[slots, heads], dtype=np.int64
+        )
+        n_any = self._n_any[slots] + np.subtract(
+            any_outside, self._any_outside[slots, heads], dtype=np.int64
+        )
+        self._n_any[slots] = n_any
+        self._outside[slots, heads] = outside
+        self._any_outside[slots, heads] = any_outside
+        fill = np.minimum(self._fill[slots] + 1, self.window_seconds)
+        self._fill[slots] = fill
+        self._head[slots] = (heads + 1) % self.window_seconds
+        threshold = rule.trigger_ratio * rule.expected_fraction
+        return (fill >= rule.min_samples) & (n_any / fill > threshold)

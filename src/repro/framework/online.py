@@ -15,7 +15,10 @@ into the rolling history).  ``observe`` remains the one-call form.
 
 The model and its feature set are frozen, so the counters to resolve and
 each feature's source (this second's value or the lagged one) are worked
-out once per predictor; :meth:`prepare_row` only walks that plan.
+out once per predictor.  A clean sample (every counter present and
+finite) then costs one gather of the counters, one finiteness test of
+their sum and one gather of the row; only a sample with a missing or
+non-finite counter walks the counters one by one to patch them.
 """
 
 from __future__ import annotations
@@ -23,6 +26,8 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass, field
+from operator import itemgetter
+from typing import Callable
 
 import numpy as np
 
@@ -30,6 +35,14 @@ from repro.analysis.arraysan import contracted
 from repro.models.composition import PlatformModel
 
 _LAG_SUFFIX = " (t-1)"
+
+
+def _tuple_getter(keys) -> Callable:
+    """``operator.itemgetter`` that returns a tuple for one key too."""
+    if len(keys) == 1:
+        key = keys[0]
+        return lambda container: (container[key],)
+    return itemgetter(*keys)
 
 
 class StaleSampleError(RuntimeError):
@@ -59,17 +72,24 @@ class OnlinePowerPredictor:
     tolerated before :meth:`prepare_row` raises :class:`StaleSampleError`.
     ``None`` keeps the historical unbounded behavior."""
 
-    _last_sample: dict[str, float] | None = field(default=None, init=False)
+    _last_values: tuple | None = field(default=None, init=False)
+    """The last resolved sample's counter values in required-counter
+    order: what the next sample's lagged features and patches read."""
     _history: deque = field(init=False)
     _n_observed: int = field(default=0, init=False)
     _n_patched: int = field(default=0, init=False)
     _n_patched_samples: int = field(default=0, init=False)
     _consecutive_patched: int = field(default=0, init=False)
     _required: tuple[str, ...] = field(init=False, repr=False, compare=False)
-    _row_plan: tuple[tuple[str, bool], ...] = field(
+    _gather: Callable[[dict], tuple] = field(
         init=False, repr=False, compare=False
     )
-    """One ``(counter, is_lag)`` per model feature, in feature order."""
+    """Every required counter's value, in order, in one call."""
+    _row_gather: Callable[[tuple], tuple] | None = field(
+        init=False, repr=False, compare=False
+    )
+    """The feature row from (this second's values + the lagged ones);
+    None when the row is this second's values as they are."""
 
     def __post_init__(self):
         if self.history_seconds < 1:
@@ -86,8 +106,17 @@ class OnlinePowerPredictor:
                 plan.append((name[: -len(_LAG_SUFFIX)], True))
             else:
                 plan.append((name, False))
-        self._row_plan = tuple(plan)
         self._required = tuple(dict.fromkeys(base for base, _ in plan))
+        self._gather = _tuple_getter(self._required)
+        if plan == [(name, False) for name in self._required]:
+            self._row_gather = None
+        else:
+            position = {name: i for i, name in enumerate(self._required)}
+            lag_offset = len(self._required)
+            self._row_gather = _tuple_getter([
+                position[base] + (lag_offset if is_lag else 0)
+                for base, is_lag in plan
+            ])
 
     # ------------------------------------------------------------------
     @property
@@ -124,61 +153,95 @@ class OnlinePowerPredictor:
         clean sample)."""
         return self._consecutive_patched
 
-    def _resolve(self, counter_sample: dict[str, float], name: str) -> float:
+    @property
+    def _last_sample(self) -> dict[str, float] | None:
+        """The last resolved sample by counter name (None before the
+        first)."""
+        if self._last_values is None:
+            return None
+        return dict(zip(self._required, self._last_values))
+
+    def _resolve(
+        self,
+        counter_sample: dict[str, float],
+        name: str,
+        last: dict[str, float] | None,
+    ) -> float:
         value = counter_sample.get(name)
         if value is not None and math.isfinite(value):
             return float(value)
-        if self.allow_missing and self._last_sample is not None:
-            fallback = self._last_sample.get(name)
+        if self.allow_missing and last is not None:
+            fallback = last.get(name)
             if fallback is not None and math.isfinite(fallback):
                 self._n_patched += 1
                 return float(fallback)
         raise KeyError(f"sample missing counters: [{name!r}]")
 
     @contracted
-    def prepare_row(self, counter_sample: dict[str, float]) -> np.ndarray:
+    def prepare_row(
+        self,
+        counter_sample: dict[str, float],
+        out: np.ndarray | None = None,
+    ) -> np.ndarray:
         """Resolve one sample into its model feature row.
 
         Advances the lag state and the patch bookkeeping, but does not
-        predict — the serving batcher stacks rows from many predictors
-        and runs one vectorized predict, then hands each prediction back
+        predict — the serving batcher writes rows from many predictors
+        into one group matrix (``out`` is the sample's row of it) and
+        runs one vectorized predict, then hands each prediction back
         through :meth:`commit`.  Rows must be prepared in sample order.
+        Returns ``out``, or a new row when ``out`` is None.
         """
-        patched_before = self._n_patched
-        resolved = {
-            name: self._resolve(counter_sample, name)
-            for name in self._required
-        }
-        sample_was_patched = self._n_patched > patched_before
-        if sample_was_patched:
-            self._consecutive_patched += 1
-            if (
-                self.max_consecutive_patches is not None
-                and self._consecutive_patched > self.max_consecutive_patches
-            ):
-                # Refuse to keep extrapolating from a dead source.  The
-                # counters stay un-consumed: the next clean sample resets
-                # the run and prediction resumes.
-                raise StaleSampleError(
-                    f"{self._consecutive_patched} consecutive samples "
-                    f"needed patching (cap "
-                    f"{self.max_consecutive_patches}); counter source "
-                    "looks dead"
-                )
-        else:
+        # A finite sum means no value is NaN or infinite; anything else
+        # (a missing counter, None, inf - inf, an overflowing sum) takes
+        # the exact counter-by-counter walk, which patches or raises.
+        try:
+            values = self._gather(counter_sample)
+            clean = math.isfinite(math.fsum(values))
+        except (KeyError, TypeError, ValueError, OverflowError):
+            clean = False
+        if clean:
             self._consecutive_patched = 0
-        if sample_was_patched:
-            self._n_patched_samples += 1
+        else:
+            values = self._patched_values(counter_sample)
+        if self._row_gather is None:
+            row = values
+        else:
+            last = self._last_values
+            row = self._row_gather(values + (values if last is None else last))
+        self._last_values = values
+        if out is None:
+            return np.array(row, dtype=float)
+        out[:] = row
+        return out
 
-        lagged = (
-            self._last_sample if self._last_sample is not None else resolved
+    def _patched_values(self, counter_sample: dict[str, float]) -> tuple:
+        """Resolve counter by counter, patching from the last sample."""
+        patched_before = self._n_patched
+        last = self._last_sample
+        values = tuple(
+            self._resolve(counter_sample, name, last)
+            for name in self._required
         )
-        row = [
-            lagged[base] if is_lag else resolved[base]
-            for base, is_lag in self._row_plan
-        ]
-        self._last_sample = resolved
-        return np.asarray(row, dtype=float)
+        if self._n_patched == patched_before:
+            self._consecutive_patched = 0
+            return values
+        self._consecutive_patched += 1
+        if (
+            self.max_consecutive_patches is not None
+            and self._consecutive_patched > self.max_consecutive_patches
+        ):
+            # Refuse to keep extrapolating from a dead source.  The
+            # counters stay un-consumed: the next clean sample resets
+            # the run and prediction resumes.
+            raise StaleSampleError(
+                f"{self._consecutive_patched} consecutive samples "
+                f"needed patching (cap "
+                f"{self.max_consecutive_patches}); counter source "
+                "looks dead"
+            )
+        self._n_patched_samples += 1
+        return values
 
     def commit(self, prediction_w: float) -> float:
         """Record one prediction into the rolling history."""
@@ -220,8 +283,11 @@ class OnlinePowerPredictor:
         reset the MHz(t-1) lag state or the rolling statistics — the
         stream is continuous even when the model changes under it.
         """
-        if other._last_sample is not None:
-            self._last_sample = dict(other._last_sample)
+        last = other._last_sample
+        if last is not None and all(name in last for name in self._required):
+            # A new model reading a counter the old one did not starts
+            # its lag state afresh, as the first sample of a stream does.
+            self._last_values = self._gather(last)
         for value in other._history:
             self._history.append(value)
         self._n_observed = other._n_observed
@@ -231,7 +297,7 @@ class OnlinePowerPredictor:
 
     def reset(self) -> None:
         """Forget lag state and history (e.g. between workload runs)."""
-        self._last_sample = None
+        self._last_values = None
         self._history.clear()
         self._n_observed = 0
         self._n_patched = 0

@@ -24,7 +24,7 @@ import numpy as np
 
 from repro.analysis.arraysan import contracted
 from repro.engine.hashing import canonical_json, sha256_hex
-from repro.framework.drift import InputDriftDetector
+from repro.framework.drift import DriftBlock, InputDriftDetector
 from repro.models.composition import PlatformModel
 from repro.models.persistence import (
     platform_model_from_payload,
@@ -47,6 +47,12 @@ class ServingBundle:
     idle_power_w: float
     meta: dict[str, Any] = field(default_factory=dict)
     """Free-form provenance (trainer seed, workload suite, ...)."""
+
+    _drift_blocks: dict[int, DriftBlock] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
+    """The shared drift block per window length (see
+    :meth:`open_drift_window`)."""
 
     def __post_init__(self):
         n_features = self.platform_model.feature_set.n_features
@@ -78,6 +84,24 @@ class ServingBundle:
             envelope_quantile=self.envelope_quantile,
             window_seconds=window_seconds,
         )
+
+    def open_drift_window(
+        self, window_seconds: int = 120
+    ) -> InputDriftDetector:
+        """A drift detector whose window is a fresh slot in this
+        bundle's block.
+
+        Every session scored by this bundle (at one window length)
+        shares the block, so a tick updates all their windows at once.
+        A bundle object never leaves the shard worker that loaded it,
+        so neither does its block.  Call the detector's ``release``
+        when the session ends.
+        """
+        block = self._drift_blocks.get(window_seconds)
+        if block is None:
+            block = DriftBlock(self.build_drift_detector(window_seconds))
+            self._drift_blocks[window_seconds] = block
+        return block.open_window()
 
     def to_payload(self) -> dict:
         return {

@@ -1,10 +1,11 @@
 """Per-machine scoring sessions: ordering, backpressure, drift.
 
 A :class:`MachineSession` owns everything the server keeps per connected
-machine: the streaming predictor (lag state + patch bookkeeping), the
-drift detector, a bounded reorder buffer for the inbound counter stream,
-and the rolling (meter, prediction) window that yields online DRE when a
-meter stream is attached.
+machine: the streaming predictor (lag state + patch bookkeeping), a
+drift detector whose window is a slot in its bundle's shared drift
+block, a bounded reorder buffer for the inbound counter stream, and the
+rolling (meter, prediction) window that yields online DRE when a meter
+stream is attached.
 
 Ordering and loss semantics are explicit and deterministic:
 
@@ -130,7 +131,7 @@ class MachineSession:
         if carry_state:
             predictor.carry_state_from(self.predictor)
         self.predictor = predictor
-        self.drift = bundle.build_drift_detector(
+        self.drift = bundle.open_drift_window(
             window_seconds=self.config.drift_window_seconds
         )
         self.bundle = bundle
@@ -151,8 +152,17 @@ class MachineSession:
             )
         if version == self.model_version:
             return
+        # The old window was judged against the old envelope: the new
+        # model starts an empty one in its own bundle's block.
+        self.drift.release()
         self._install_bundle(version, bundle, carry_state=True)
         self.n_model_swaps += 1
+
+    def close(self) -> None:
+        """End the session: its drift window's slot goes back to the
+        bundle's block.  Take the final :meth:`snapshot` first; a
+        closed session is not scored again."""
+        self.drift.release()
 
     # -- ingest --------------------------------------------------------
     @property
@@ -243,9 +253,10 @@ class MachineSession:
 
     # -- scoring hooks (driven by the micro-batcher) -------------------
     def prepare(
-        self, item: "_PendingSample"
-    ) -> tuple[np.ndarray, bool] | None:
-        """Resolve one ready sample into (feature row, was patched).
+        self, item: "_PendingSample", out: np.ndarray
+    ) -> bool | None:
+        """Resolve one ready sample into ``out`` (its row of the group
+        matrix); returns whether it was patched.
 
         Patched-ness must be captured here, not at completion time: the
         micro-batcher prepares a session's whole ready run before any
@@ -253,47 +264,40 @@ class MachineSession:
         state has moved on by then.
 
         Returns None when the predictor rejects the sample (dead counter
-        source past the consecutive-patch cap, or a cold session missing
-        counters); the sample is counted and skipped, and scoring
-        resumes with the next clean sample.
+        source past the consecutive-patch cap, or a cold start without
+        the full counter set, so nothing to patch from yet); the sample
+        is counted and skipped, and scoring resumes with the next clean
+        sample.
         """
         try:
-            row = self.predictor.prepare_row(item.counters)
-        except StaleSampleError:
+            self.predictor.prepare_row(item.counters, out)
+        except (StaleSampleError, KeyError):
             self.n_stale_rejected += 1
             return None
-        except KeyError:
-            # Cold start without the full counter set: nothing to patch
-            # from yet, so the sample cannot be scored.
-            self.n_stale_rejected += 1
-            return None
-        patched = (
-            item.synthesized or self.predictor.consecutive_patched > 0
-        )
-        return row, patched
+        return item.synthesized or self.predictor.consecutive_patched > 0
 
     def complete(
         self,
         t: int,
         item: "_PendingSample",
-        row: np.ndarray,
         patched: bool,
         power_w: float,
+        drifting: bool,
     ) -> ScoredSample:
-        """Record one scored sample and produce its delivery record."""
+        """Record one scored sample and produce its delivery record.
+
+        ``drifting`` is the drift block's flag for this sample, whose
+        row the batcher has already added to this session's window.
+        """
         self.predictor.commit(power_w)
-        verdict = self.drift.observe(row)
         if item.meter_w is not None:
             self._meter_window.append((item.meter_w, power_w))
         self._last_power_w = power_w
         self.n_scored += 1
+        # Positional: keyword arguments cost a third more per sample.
         return ScoredSample(
-            machine_id=self.machine_id,
-            t=t,
-            power_w=power_w,
-            patched=patched,
-            drifting=verdict.drifting,
-            model_version=self.model_version,
+            self.machine_id, t, power_w, patched, drifting,
+            self.model_version,
         )
 
     # -- telemetry -----------------------------------------------------

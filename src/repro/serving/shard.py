@@ -240,7 +240,9 @@ class ShardWorker:
         if session is None:
             return None
         self.stats.n_sessions_closed += 1
-        return session.snapshot()
+        snapshot = session.snapshot()
+        session.close()
+        return snapshot
 
     # -- the coordinated tick ------------------------------------------
     def tick_batch(self, payload: dict) -> ShardTickResult:
@@ -275,6 +277,7 @@ class ShardWorker:
                 continue
             if session.pending_count == 0:
                 drained.append((machine_id, session.snapshot()))
+                session.close()
                 del self.sessions[machine_id]
                 self._draining.discard(machine_id)
                 self.stats.n_sessions_closed += 1

@@ -141,16 +141,6 @@ class ServingStats:
         """
         session_rows = [session.snapshot() for session in sessions]
         session_rows.extend(extra_session_rows)
-        dropped = sum(
-            row["late_dropped"] + row["shed_dropped"]
-            for row in session_rows
-        )
-        drifting = sum(1 for row in session_rows if row["drifting"])
-        dre_values = [
-            row["online_dre"]
-            for row in session_rows
-            if row["online_dre"] is not None
-        ]
         return {
             "ticks": self.n_ticks,
             "samples_scored": self.n_samples_scored,
@@ -163,12 +153,36 @@ class ServingStats:
             "batch_latency_s": self.batch_latency_s.to_dict(),
             "batch_size": self.batch_size.to_dict(),
             "sessions": session_rows,
-            "dropped_samples": dropped,
-            "drifting_sessions": drifting,
-            "mean_online_dre": (
-                sum(dre_values) / len(dre_values) if dre_values else None
-            ),
+            **_fleet_aggregates(session_rows),
         }
+
+
+_DROP_KEYS = ("late_dropped", "shed_dropped", "duplicates", "stale_rejected")
+"""Per-session counts of samples that were never scored: late behind
+the cursor, shed from a full buffer, a repeated ``t``, or rejected by
+the predictor (cold start, dead counter source)."""
+
+
+def _fleet_aggregates(session_rows: Sequence[dict]) -> dict:
+    """The fleet-wide figures derived from per-session snapshots.
+
+    ``dropped_samples`` sums every :data:`_DROP_KEYS` count, so for every
+    session received + synthesized = scored + dropped + pending.
+    """
+    dre_values = [
+        row["online_dre"]
+        for row in session_rows
+        if row["online_dre"] is not None
+    ]
+    return {
+        "dropped_samples": sum(
+            row[key] for row in session_rows for key in _DROP_KEYS
+        ),
+        "drifting_sessions": sum(1 for row in session_rows if row["drifting"]),
+        "mean_online_dre": (
+            sum(dre_values) / len(dre_values) if dre_values else None
+        ),
+    }
 
 
 _COUNTER_KEYS = (
@@ -243,15 +257,6 @@ def merge_snapshots(snapshots: Sequence[dict]) -> dict:
     session_rows: list[dict] = []
     for snap in snapshots:
         session_rows.extend(snap["sessions"])
-    dropped = sum(
-        row["late_dropped"] + row["shed_dropped"] for row in session_rows
-    )
-    drifting = sum(1 for row in session_rows if row["drifting"])
-    dre_values = [
-        row["online_dre"]
-        for row in session_rows
-        if row["online_dre"] is not None
-    ]
     merged: dict = {
         key: sum(snap[key] for snap in snapshots) for key in _COUNTER_KEYS
     }
@@ -262,9 +267,5 @@ def merge_snapshots(snapshots: Sequence[dict]) -> dict:
         [snap["batch_size"] for snap in snapshots]
     )
     merged["sessions"] = session_rows
-    merged["dropped_samples"] = dropped
-    merged["drifting_sessions"] = drifting
-    merged["mean_online_dre"] = (
-        sum(dre_values) / len(dre_values) if dre_values else None
-    )
+    merged.update(_fleet_aggregates(session_rows))
     return merged

@@ -23,6 +23,11 @@ from repro.framework.online import (
 class RebuildingPowerPredictor(OnlinePowerPredictor):
     """The same predictor state, the old per-sample row assembly."""
 
+    # The old lag state: a dict by counter name, rebuilt every sample.
+    # (The predictor keeps a tuple and reads it by name through a
+    # read-only ``_last_sample`` view, which this attribute shadows.)
+    _last_sample: dict[str, float] | None = None
+
     @property
     def required_counters(self) -> list[str]:
         """Counters the caller must supply each second (lags excluded —

@@ -1,11 +1,13 @@
 """The drift ring against the re-stacking window it replaced.
 
-``InputDriftDetector`` keeps running counts over a preallocated ring;
-``StackedDriftDetector`` stacks and averages the whole window on every
-verdict.  Counts over ``n`` are the same doubles as means of 0/1 rows,
-so every ``DriftVerdict`` field must be bit-identical, type included,
-on every stream: wrap-around, resets, NaN and inf inputs, and inputs
-exactly on the envelope bounds.
+``InputDriftDetector`` keeps running counts over a preallocated ring
+(one slot of a ``DriftBlock``); ``StackedDriftDetector`` stacks and
+averages the whole window on every verdict.  Counts over ``n`` are the
+same doubles as means of 0/1 rows, so every ``DriftVerdict`` field must
+be bit-identical, type included, on every stream: wrap-around, resets,
+NaN and inf inputs, and inputs exactly on the envelope bounds.  Streams
+sharing one block — random subsets per update, slots released and
+reused — must each match their own oracle the same way.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.framework.drift import InputDriftDetector
+from repro.framework.drift import DriftBlock, InputDriftDetector
 from tests.framework.stacked_drift import StackedDriftDetector
 
 KINDS = ("inside", "low", "high", "below", "above", "nan", "inf", "-inf")
@@ -193,3 +195,120 @@ def test_bounds_are_inside_and_nan_is_never_outside():
     assert (verdict.worst_feature, verdict.worst_feature_fraction) == (
         "a", 0.25
     )
+
+
+# -- the shared block ---------------------------------------------------
+
+
+def _run_block(rng, case, n_steps, max_streams):
+    """Streams sharing one ``DriftBlock`` against one oracle each.
+
+    Every step releases a stream or opens one now and then (a released
+    slot is reused by the next opened stream), feeds a random subset of
+    the live streams one row each through ``observe_rows``, and compares
+    each returned ``drifting`` and every live stream's verdict with the
+    stream's own ``StackedDriftDetector``.  Returns verdicts compared.
+    """
+    names, low, high = case["names"], case["low"], case["high"]
+    kwargs = dict(
+        envelope_quantile=case["quantile"],
+        window_seconds=case["window"],
+        trigger_ratio=case["trigger_ratio"],
+        min_samples=case["min_samples"],
+    )
+    block = DriftBlock(InputDriftDetector.from_envelope(names, low, high, **kwargs))
+
+    def open_stream():
+        view = block.open_window()
+        assert not view.has_observations
+        with pytest.raises(RuntimeError, match="no samples"):
+            view.verdict()
+        return view, StackedDriftDetector.from_envelope(
+            names, low, high, **kwargs
+        )
+
+    streams = [open_stream() for _ in range(rng.integers(1, max_streams + 1))]
+    peak = len(streams)
+    compared = 0
+    for _ in range(n_steps):
+        event = rng.random()
+        if event < 0.06 and streams:
+            view, _ = streams.pop(int(rng.integers(len(streams))))
+            view.release()
+            assert not view.has_observations
+        elif event < 0.12 and len(streams) < max_streams:
+            streams.append(open_stream())
+        peak = max(peak, len(streams))
+        assert block.live_slots() == {view.slot for view, _ in streams}
+        chosen = [stream for stream in streams if rng.random() < 0.7]
+        if chosen:
+            rows = _rows(rng, len(chosen), low, high, case["weights"])
+            slots = np.array([view.slot for view, _ in chosen])
+            drifting = block.observe_rows(slots, rows)
+            assert drifting.dtype == bool
+            for (_, oracle), row, flag in zip(
+                chosen, rows, drifting.tolist()
+            ):
+                assert flag is oracle.observe(row).drifting
+        for view, oracle in streams:
+            assert view.has_observations == bool(oracle._window)
+            if oracle._window:
+                assert _fields(view.verdict()) == _fields(oracle.verdict())
+                compared += 1
+    # Capacity doubles only when every slot is taken: churn reuses
+    # released slots instead of growing the block.
+    assert block.capacity < 2 * max(peak, 1)
+    return compared
+
+
+def _block_case(rng, n_features, window, min_samples, trigger_ratio, quantile):
+    low = rng.normal(size=n_features) * 10.0 ** rng.integers(-3, 4)
+    width = rng.uniform(0.0, 5.0, size=n_features)
+    width[rng.random(n_features) < 0.2] = 0.0
+    weights = rng.integers(0, 8, size=len(KINDS)).astype(float) + 0.01
+    return {
+        "names": [f"f{i}" for i in range(n_features)],
+        "low": low,
+        "high": low + width,
+        "window": window,
+        "min_samples": min_samples,
+        "trigger_ratio": trigger_ratio,
+        "quantile": quantile,
+        "weights": weights / weights.sum(),
+    }
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_features=st.integers(1, 8),
+    window=st.sampled_from([1, 2, 3, 5, 120]),
+    trigger_ratio=st.sampled_from([0.0, 0.5, 1.0, 8.0]),
+    quantile=st.sampled_from([0.9, 0.995]),
+    data=st.data(),
+)
+def test_streams_sharing_a_block_match_one_stacked_window_each(
+    seed, n_features, window, trigger_ratio, quantile, data
+):
+    rng = np.random.default_rng(seed)
+    case = _block_case(
+        rng, n_features, window,
+        data.draw(st.integers(1, window + 2)), trigger_ratio, quantile,
+    )
+    n_steps = data.draw(st.integers(1, 2 * window + 12))
+    _run_block(rng, case, n_steps, max_streams=6)
+
+
+@pytest.mark.parametrize("window", [1, 2, 120])
+def test_block_streams_wrap_many_times_through_churn(window):
+    """Many streams over several wrap-arounds of the window, with
+    releases and reuse, every kind of entry mixed in."""
+    rng = np.random.default_rng([window, 5])
+    case = _block_case(rng, 5, window, min(window, 30), 8.0, 0.995)
+    case["weights"] = np.full(len(KINDS), 1.0 / len(KINDS))
+    assert _run_block(rng, case, 4 * window + 9, max_streams=10) > 0
+
+
+def test_block_rejects_an_unfitted_rule():
+    with pytest.raises(RuntimeError, match="not fitted"):
+        DriftBlock(InputDriftDetector(["a"]))

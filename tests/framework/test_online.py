@@ -8,6 +8,7 @@ from repro.models import (
     PlatformModel,
     QuadraticPowerModel,
     cluster_plus_lagged_frequency,
+    cluster_set,
     pool_features,
 )
 from repro.models.featuresets import CPU_UTILIZATION_COUNTER, FREQUENCY_COUNTER
@@ -239,3 +240,37 @@ class TestPrepareCommitSplit:
             for name in reference.required_counters
         }
         assert replacement.observe(sample) == reference.observe(sample)
+
+    def test_carry_state_onto_a_model_lagging_a_new_counter(self, trained):
+        """A swap onto a model that lags a counter the old model never
+        read starts the lag state afresh, as a stream's first sample
+        does, instead of failing every later sample on the missing
+        lagged value."""
+        platform_model, runs = trained
+        log = runs[0].logs[runs[0].machine_ids[0]]
+        util_only = cluster_set((CPU_UTILIZATION_COUNTER,))
+        design, power = pool_features(runs, util_only)
+        old = OnlinePowerPredictor(
+            PlatformModel(
+                platform_key="core2",
+                model=QuadraticPowerModel(util_only.feature_names).fit(
+                    design, power
+                ),
+                feature_set=util_only,
+            )
+        )
+
+        def sample(t):
+            return {
+                name: float(log.column(name)[t])
+                for name in (CPU_UTILIZATION_COUNTER, FREQUENCY_COUNTER)
+            }
+
+        for t in range(5):
+            old.observe(sample(t))
+        swapped = OnlinePowerPredictor(platform_model)
+        swapped.carry_state_from(old)
+        fresh = OnlinePowerPredictor(platform_model)
+        for t in range(5, 10):
+            assert swapped.observe(sample(t)) == fresh.observe(sample(t))
+        assert swapped.n_observed == 10

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import numpy as np
+import pytest
 
 from repro.serving import (
     MachineSession,
@@ -166,3 +167,54 @@ def test_per_session_drain_cap_bounds_a_backlogged_machine(scenario):
         by_machine.setdefault(sample.machine_id, []).append(sample.t)
     assert by_machine["big"] == list(range(5))
     assert by_machine["small"] == [0, 1]
+
+
+@pytest.mark.parametrize("window, backlog", [(4, 10), (30, 75)])
+def test_a_run_longer_than_the_drift_window_flags_each_sample_in_order(
+    scenario, holdout_log, window, backlog
+):
+    """One tick scores backlogs of different lengths, the longest past
+    the drift window: every delivered ``drifting`` and each session's
+    final verdict equal a per-sample detector fed the same rows."""
+    from repro.framework.online import OnlinePowerPredictor
+
+    bundle = scenario.bundle("Q")
+    config = SessionConfig(
+        queue_limit=128, gap_tolerance=128, drift_window_seconds=window
+    )
+    required = MachineSession("probe", "Q@v1", bundle).predictor.required_counters
+    columns = holdout_log.select(list(required))
+    rows = []
+    for t in range(backlog):
+        counters = {name: columns[t, i] for i, name in enumerate(required)}
+        if t >= backlog // 2:
+            # Far outside the envelope: the window fills with drift.
+            counters = {name: value * 40.0 for name, value in counters.items()}
+        rows.append(counters)
+    sessions = [
+        MachineSession(f"m{n}", "Q@v1", bundle, config=config)
+        for n in (backlog, 3, 1)
+    ]
+    for session, n in zip(sessions, (backlog, 3, 1)):
+        for t in range(n):
+            session.submit(t, rows[t])
+    scored = MicroBatchScorer().tick(sessions)
+    assert len(scored) == backlog + 4
+
+    for session, n in zip(sessions, (backlog, 3, 1)):
+        predictor = OnlinePowerPredictor(bundle.platform_model)
+        detector = bundle.build_drift_detector(window_seconds=window)
+        expected = [
+            detector.observe(predictor.prepare_row(rows[t])).drifting
+            for t in range(n)
+        ]
+        delivered = [
+            sample.drifting
+            for sample in scored
+            if sample.machine_id == session.machine_id
+        ]
+        assert delivered == expected
+        assert session.drift.verdict() == detector.verdict()
+        if n == backlog == 75:
+            # The flags really change inside the run.
+            assert any(expected) and not all(expected)

@@ -152,7 +152,7 @@ def test_sanitized_replay_is_contract_clean_and_bit_identical(
     assert report["functions"]["matvec"]["calls"] > 0
     assert report["functions"]["matvec"]["hot_calls"] > 0
     assert report["functions"]["prepare_row"]["calls"] > 0
-    assert report["functions"]["observe"]["calls"] > 0
+    assert report["functions"]["observe_rows"]["calls"] > 0
     # And every observed operand arrived C-contiguous.
     for stats in report["functions"].values():
         assert stats["noncontiguous_args"] == 0

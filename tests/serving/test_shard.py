@@ -386,3 +386,76 @@ def test_drain_after_hot_swap_returns_the_snapshot(
     closed = host.call("close_session", {"machine_id": "m1"})
     assert closed["scored"] == 1 and closed["drifting"] is False
     host.close()
+
+
+def test_drift_slots_follow_sessions_through_churn_and_swaps(
+    scenario, holdout_log, tmp_path
+):
+    """Opens, abrupt closes, ``bye`` drains and hot swaps each hand the
+    drift slot back: a bundle's block holds exactly its open sessions'
+    slots and does not grow with churn, and a swapped session scores
+    in its new bundle's block from an empty window."""
+    registry = ModelRegistry(tmp_path / "registry")
+    registry.publish(scenario.bundle("Q"))
+    host = InlineShardHost(
+        worker_config(registry_root=str(tmp_path / "registry"))
+    )
+    worker = host.worker
+    rows = _counter_rows(scenario, holdout_log, 40)
+
+    def assert_blocks_hold_the_open_sessions():
+        by_block: dict = {}
+        for session in worker.sessions.values():
+            by_block.setdefault(session.drift.block, set()).add(
+                session.drift.slot
+            )
+        for block, slots in by_block.items():
+            assert block.live_slots() == slots
+        return by_block
+
+    cursor = {}
+
+    def tick(drains=()):
+        submits = []
+        for machine_id in worker.sessions:
+            t = cursor.get(machine_id, 0)
+            submits.append((machine_id, t, rows[t % len(rows)], None))
+            cursor[machine_id] = t + 1
+        return host.call(
+            "tick_batch", {"submits": submits, "drains": list(drains)}
+        )
+
+    serial = 0
+    for _ in range(8):
+        for _ in range(5):
+            host.call(
+                "open_session",
+                {"machine_id": f"m{serial}", "platform": scenario.platform_key},
+            )
+            serial += 1
+        tick()
+        assert_blocks_hold_the_open_sessions()
+        oldest = sorted(worker.sessions, key=lambda m: int(m[1:]))
+        for machine_id in oldest[:2]:
+            host.call("close_session", {"machine_id": machine_id})
+        result = tick(drains=oldest[2:4])
+        assert sorted(mid for mid, _ in result.drained) == sorted(oldest[2:4])
+        assert_blocks_hold_the_open_sessions()
+    (q_block,) = assert_blocks_hold_the_open_sessions()
+    # Each round opens 5 sessions and ends 4, so 40 sessions came and
+    # went with at most 12 open at once: the block kept to 16 slots.
+    assert len(worker.sessions) == 8
+    assert q_block.capacity == 16
+
+    v2, _ = registry.publish(scenario.bundle("L"))
+    assert host.call("commit_swap", host.call("stage_swap")) == 8
+    (l_block,) = assert_blocks_hold_the_open_sessions()
+    assert l_block is not q_block
+    assert q_block.live_slots() == frozenset()
+    for session in worker.sessions.values():
+        assert session.model_version == v2.label
+        assert not session.drift.has_observations
+    tick()
+    for session in worker.sessions.values():
+        assert l_block.fill(session.drift.slot) == 1
+    host.close()

@@ -188,3 +188,31 @@ def test_merge_of_one_snapshot_is_identity_on_counters():
         "stalled_closed",
     ):
         assert merged[key] == snap[key]
+
+
+def test_dropped_samples_counts_duplicates_and_rejects(
+    scenario, holdout_log
+):
+    """A cold-start sample the predictor rejects and a duplicate ``t``
+    are lost samples too: the fleet total counts late, shed, duplicate
+    and rejected samples alike, in one snapshot and in a merge."""
+    from repro.serving import MachineSession, MicroBatchScorer
+    from repro.serving.stats import merge_snapshots
+
+    stats = ServingStats()
+    session = MachineSession("m0", "Q@v1", scenario.bundle("Q"))
+    required = session.predictor.required_counters
+    columns = holdout_log.select(list(required))
+    counters = {name: columns[1, i] for i, name in enumerate(required)}
+    session.submit(0, {})  # cold start: nothing to patch from yet
+    session.submit(1, counters)
+    session.submit(1, counters)  # duplicate index
+    MicroBatchScorer(stats=stats).tick([session])
+
+    snapshot = stats.snapshot([session])
+    (row,) = snapshot["sessions"]
+    assert (row["received"], row["scored"], row["pending"]) == (3, 1, 0)
+    assert (row["duplicates"], row["stale_rejected"]) == (1, 1)
+    assert (row["late_dropped"], row["shed_dropped"]) == (0, 0)
+    assert snapshot["dropped_samples"] == 2
+    assert merge_snapshots([snapshot, snapshot])["dropped_samples"] == 4
