@@ -19,126 +19,13 @@ Five layers (see ``docs/static_analysis.md``):
 * chaos-shape: numeric-array analysis (N7xx) — abstract interpretation
   over a shape/dtype/contiguity lattice (``shapes``) against the
   declared array contracts in ``signatures``, paired with a runtime
-  array sanitizer (``arraysan``) that cross-checks the same contracts
-  at kernel boundaries during sanitized replays.
+  array sanitizer (``arraysan``) that wraps each contract's site and
+  cross-checks the same contracts during sanitized replays.
 
 Inline suppressions (``# chaos: ignore[CODE] -- reason``) are honored
 across all file-based layers; see ``suppress``.
+
+This package re-exports nothing: import the submodule you need, so
+arming a sanitizer does not load the lint stack, and no module outside
+this package imports it at load time.
 """
-
-from repro.analysis.arraysan import (
-    ArraySanitizer,
-    ArrayViolation,
-    contracted,
-    hot_path,
-    install_array_sanitizer,
-)
-from repro.analysis.astlint import lint_file, lint_paths, lint_source
-from repro.analysis.callgraph import (
-    CallGraph,
-    CallSite,
-    FunctionNode,
-    build_callgraph,
-    build_callgraph_source,
-)
-from repro.analysis.cfg import (
-    CFG,
-    BasicBlock,
-    build_cfg,
-    interleaving_points,
-    iter_function_units,
-    stmt_interleaves,
-    unit_has_interleaving,
-)
-from repro.analysis.dataflow import (
-    Analysis,
-    DataflowResult,
-    FixpointDiverged,
-    run_forward,
-)
-from repro.analysis.findings import RULES, Finding, filter_findings
-from repro.analysis.leakage import check_leakage_source
-from repro.analysis.races import check_races_source
-from repro.analysis.ruledocs import RULE_DOCS, RuleDoc, explain
-from repro.analysis.runner import LintReport, run_lint
-from repro.analysis.sanitizer import (
-    LoopSanitizer,
-    SanitizerConfig,
-    install_sanitizer,
-)
-from repro.analysis.sarif import render_sarif
-from repro.analysis.semantic import (
-    check_all_platforms,
-    check_catalog,
-    check_feature_sets,
-    check_model_registry,
-    unit_of,
-)
-from repro.analysis.suppress import (
-    Suppression,
-    apply_suppressions,
-    parse_suppressions,
-)
-from repro.analysis.shapes import (
-    ArrayValue,
-    ShapeAnalysis,
-    Unifier,
-    check_shapes_source,
-)
-from repro.analysis.signatures import ArrayContract, ArraySpec
-from repro.analysis.units import check_units_source
-
-__all__ = [
-    "Analysis",
-    "ArrayContract",
-    "ArraySanitizer",
-    "ArraySpec",
-    "ArrayValue",
-    "ArrayViolation",
-    "BasicBlock",
-    "CFG",
-    "CallGraph",
-    "CallSite",
-    "DataflowResult",
-    "Finding",
-    "FixpointDiverged",
-    "FunctionNode",
-    "LintReport",
-    "LoopSanitizer",
-    "RULES",
-    "RULE_DOCS",
-    "RuleDoc",
-    "SanitizerConfig",
-    "ShapeAnalysis",
-    "Suppression",
-    "Unifier",
-    "apply_suppressions",
-    "build_callgraph",
-    "build_callgraph_source",
-    "build_cfg",
-    "check_all_platforms",
-    "check_catalog",
-    "check_feature_sets",
-    "check_leakage_source",
-    "check_model_registry",
-    "check_races_source",
-    "check_shapes_source",
-    "check_units_source",
-    "contracted",
-    "explain",
-    "filter_findings",
-    "hot_path",
-    "install_array_sanitizer",
-    "install_sanitizer",
-    "interleaving_points",
-    "iter_function_units",
-    "lint_file",
-    "lint_paths",
-    "lint_source",
-    "parse_suppressions",
-    "render_sarif",
-    "run_forward",
-    "run_lint",
-    "stmt_interleaves",
-    "unit_has_interleaving",
-]

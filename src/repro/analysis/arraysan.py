@@ -2,39 +2,39 @@
 
 The static N7xx rules (:mod:`repro.analysis.shapes`) prove the declared
 :data:`~repro.analysis.signatures.ARRAY_CONTRACTS` hold for every array
-the analysis can see.  This module is the runtime cross-check: the same
-contracted entry points are wrapped with :func:`contracted`, and while
-an :class:`ArraySanitizer` is armed (``repro replay --sanitize``,
-``repro serve --sanitize``) every call records the shapes, dtypes and
-contiguity that *actually* flow through the kernel boundary.  A runtime
-observation that contradicts the declared contract — a float32 row, a
-rank the spec forbids, two arguments disagreeing on a shared symbolic
-dim, a non-contiguous operand where the kernel demands contiguity —
-becomes a violation CI fails on.
+the analysis can see.  This module is the runtime cross-check: while an
+:class:`ArraySanitizer` is armed (``repro replay --sanitize``,
+``repro serve --sanitize``) the function at every contract's ``site`` is
+wrapped, and each call records the shapes, dtypes and contiguity that
+*actually* flow through the kernel boundary.  A runtime observation
+that contradicts the declared contract — a float32 row, a rank the spec
+forbids, two arguments disagreeing on a shared symbolic dim, a
+non-contiguous operand where the kernel demands contiguity — becomes a
+violation CI fails on.
 
-Two invariants make the wrapper safe to leave on production entry
-points:
+The contract table is the only declaration: production modules carry
+no decorator and never import this package.  Arming resolves every
+site before it patches anything.  A method site is replaced on its
+class; a function site is rebound in every loaded ``repro`` module
+whose globals hold it, so ``from``-imported names are observed too.
+Disarming puts every original back, including in modules imported
+while armed, so a disarmed call is the plain function again.
 
-* **observe-only** — arguments and results are never touched, coerced,
-  or copied, so scoring stays bit-identical with the sanitizer armed
-  (the CI golden replay asserts exactly that);
-* **near-zero cost when disarmed** — the fast path is one module-global
-  ``None`` check per call.
-
-:func:`hot_path` is the static marker half of the N703/N705 rules: it
-tags a function as per-tick hot so the analyzer forbids allocations and
-hidden copies inside it, and the sanitizer counts its calls so a hot
-path that never runs in replay is visible in telemetry.
+The wrapper is **observe-only**: arguments and results are never
+touched, coerced, or copied, so scoring stays bit-identical with the
+sanitizer armed (the CI golden replay asserts exactly that).
 """
 
 from __future__ import annotations
 
 import functools
+import importlib
 import inspect
+import sys
 import threading
 from dataclasses import dataclass, field
-from types import TracebackType
-from typing import Any, Callable, Dict, List, Optional, Tuple, Type, TypeVar
+from types import FunctionType, TracebackType
+from typing import Any, Callable, Dict, List, Optional, Tuple, Type
 
 import numpy as np
 
@@ -44,44 +44,48 @@ from repro.analysis.signatures import (
     ArraySpec,
 )
 
-F = TypeVar("F", bound=Callable[..., Any])
-
-#: The armed sanitizer, if any.  Module-global on purpose: contracted
-#: entry points live all over the tree and must not thread a handle.
+#: The armed sanitizer, if any.  Module-global on purpose: a wrapper
+#: that outlives its arming (a bound method someone kept) must see that
+#: nothing is armed any more and pass straight through.
 _ACTIVE: Optional["ArraySanitizer"] = None
 _ACTIVE_LOCK = threading.Lock()
 
-
-def hot_path(func: F) -> F:
-    """Mark ``func`` as per-tick hot (N703/N705 apply to its body).
-
-    Purely a marker: the function is returned unchanged, so there is no
-    call overhead — the *static* analyzer keys on the decorator name and
-    the runtime sanitizer keys on the attribute.
-    """
-    func.__chaos_hot_path__ = True  # type: ignore[attr-defined]
-    return func
+#: One armed site: owner (a class, or the defining module), attribute,
+#: original function and the wrapper that replaces it.
+_Patch = Tuple[Any, str, FunctionType, Callable[..., Any]]
 
 
-def contracted(func: F) -> F:
-    """Wrap a declared array-contract entry point for runtime checking.
-
-    The contract is looked up by function name in ``ARRAY_CONTRACTS`` at
-    decoration time, so an annotated function that drifts out of the
-    registry fails at import, not silently at runtime.  Arguments are
-    matched to contract parameters **by name** via the function's
-    signature (methods therefore work: ``self`` simply has no spec).
-    """
-    name = func.__name__.lstrip("_")
-    contract = ARRAY_CONTRACTS.get(name)
-    if contract is None:
+def _resolve(contract: ArrayContract, site: str) -> _Patch:
+    """Find the function at ``site`` (``"module:qualname"``) and build
+    its wrapper; patches nothing."""
+    module_name, _, qualname = site.partition(":")
+    *path, attr = qualname.split(".")
+    try:
+        owner: Any = importlib.import_module(module_name)
+        for part in path:
+            owner = getattr(owner, part)
+        func = vars(owner)[attr]
+    except (ImportError, AttributeError, KeyError) as error:
         raise ValueError(
-            f"@contracted function {func.__name__!r} has no entry in "
-            "ARRAY_CONTRACTS; declare its contract in "
-            "repro.analysis.signatures first"
+            f"array contract {contract.name!r}: site {site!r} does not "
+            f"resolve ({error!r})"
+        ) from error
+    if not isinstance(func, FunctionType) or func.__name__ != contract.name:
+        raise ValueError(
+            f"array contract {contract.name!r}: site {site!r} holds "
+            f"{func!r}, not a function named {contract.name!r}"
         )
+    return owner, attr, func, _wrap(contract, func)
+
+
+def _wrap(contract: ArrayContract, func: FunctionType) -> Callable[..., Any]:
+    """An observe-only stand-in for ``func`` checking ``contract``.
+
+    Arguments are matched to contract parameters **by name** via the
+    function's signature (methods therefore work: ``self`` simply has
+    no spec).
+    """
     signature = inspect.signature(func)
-    is_hot = getattr(func, "__chaos_hot_path__", False)
 
     @functools.wraps(func)
     def wrapper(*args: Any, **kwargs: Any) -> Any:
@@ -92,16 +96,27 @@ def contracted(func: F) -> F:
                 arguments: Dict[str, Any] = dict(bound.arguments)
             except TypeError:
                 arguments = {}
-            sanitizer.observe_call(contract, arguments, hot=is_hot)
+            sanitizer.observe_call(contract, arguments)
         result = func(*args, **kwargs)
         if sanitizer is not None:
             sanitizer.observe_return(contract, result)
         return result
 
-    wrapper.__chaos_contract__ = contract  # type: ignore[attr-defined]
-    if is_hot:
-        wrapper.__chaos_hot_path__ = True  # type: ignore[attr-defined]
-    return wrapper  # type: ignore[return-value]
+    return wrapper
+
+
+def _rebind_globals(replacements: Dict[int, Callable[..., Any]]) -> None:
+    """Rebind every global of every loaded ``repro`` module whose value
+    is a key of ``replacements`` (by ``id``; the caller keeps each keyed
+    object alive, so an ``id`` match is that object)."""
+    for name, module in list(sys.modules.items()):
+        if module is None or name.split(".")[0] != "repro":
+            continue
+        namespace = vars(module)
+        for key, value in list(namespace.items()):
+            replacement = replacements.get(id(value))
+            if replacement is not None:
+                namespace[key] = replacement
 
 
 @dataclass
@@ -163,11 +178,16 @@ class ArraySanitizer:
 
     _installed: bool = False
     _seen: Dict[Tuple[str, str, str], int] = field(default_factory=dict)
+    _patches: List[_Patch] = field(default_factory=list)
 
     # -- arming --------------------------------------------------------
 
     def install(self) -> "ArraySanitizer":
-        """Arm this sanitizer globally; idempotent per instance."""
+        """Arm this sanitizer globally; idempotent per instance.
+
+        Every contract ``site`` is resolved before anything is patched,
+        so a site that does not resolve raises with nothing armed.
+        """
         global _ACTIVE
         with _ACTIVE_LOCK:
             if self._installed:
@@ -176,18 +196,41 @@ class ArraySanitizer:
                 raise RuntimeError(
                     "another ArraySanitizer is already installed"
                 )
+            self._patches = [
+                _resolve(contract, contract.site)
+                for contract in ARRAY_CONTRACTS.values()
+                if contract.site is not None
+            ]
+            self._swap(arm=True)
             _ACTIVE = self
             self._installed = True
         return self
 
     def uninstall(self) -> None:
+        """Disarm and put every original function back."""
         global _ACTIVE
         with _ACTIVE_LOCK:
             if not self._installed:
                 return
+            self._swap(arm=False)
+            self._patches = []
             if _ACTIVE is self:
                 _ACTIVE = None
             self._installed = False
+
+    def _swap(self, arm: bool) -> None:
+        """Put the wrappers in place of the originals, or back."""
+        rebind: Dict[int, Callable[..., Any]] = {}
+        for owner, attr, original, wrapper in self._patches:
+            old: Callable[..., Any] = original if arm else wrapper
+            new: Callable[..., Any] = wrapper if arm else original
+            setattr(owner, attr, new)
+            if not isinstance(owner, type):
+                # A function site: ``from``-imported names elsewhere
+                # hold it too, and on disarm so do modules imported
+                # while armed.
+                rebind[id(old)] = new
+        _rebind_globals(rebind)
 
     def __enter__(self) -> "ArraySanitizer":
         return self.install()
@@ -203,14 +246,11 @@ class ArraySanitizer:
     # -- observation ---------------------------------------------------
 
     def observe_call(
-        self,
-        contract: ArrayContract,
-        arguments: Dict[str, Any],
-        hot: bool = False,
+        self, contract: ArrayContract, arguments: Dict[str, Any]
     ) -> None:
         stats = self.functions.setdefault(contract.name, _FunctionStats())
         stats.n_calls += 1
-        if hot:
+        if contract.hot_path:
             stats.n_hot_calls += 1
         bindings: Dict[str, int] = {}
         for param_name, spec in contract.params:

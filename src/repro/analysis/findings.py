@@ -62,9 +62,9 @@ RULES: dict[str, str] = {
     "R605": "lock/socket/loop captured by a TaskSpec or executor submit",
     "N701": "silent dtype change crossing a kernel contract boundary",
     "N702": "Python-level loop over ndarray rows where a vectorized kernel exists",
-    "N703": "hidden array copy inside a @hot_path function",
+    "N703": "hidden array copy inside a hot-path function",
     "N704": "shape/broadcast mismatch against a declared array contract",
-    "N705": "array allocation inside a @hot_path function",
+    "N705": "array allocation inside a hot-path function",
     "N706": "non-contiguous operand reaching an einsum/BLAS kernel",
     "W001": "inline chaos: ignore comment suppresses nothing",
     "W002": "inline chaos: ignore comment carries no justification",

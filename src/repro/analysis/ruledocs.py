@@ -192,7 +192,8 @@ RULE_DOCS: Dict[str, RuleDoc] = {
             code="N703",
             summary=RULES["N703"],
             rationale=(
-                "A @hot_path function runs per tick for every "
+                "A hot-path function (its ARRAY_CONTRACTS entry sets "
+                "hot_path=True) runs per tick for every "
                 "connected machine. Fancy indexing, concatenate, "
                 "vstack, and ascontiguousarray each materialize a "
                 "fresh array, so a hidden copy there turns the hot "
@@ -202,13 +203,11 @@ RULE_DOCS: Dict[str, RuleDoc] = {
                 "in preallocated storage."
             ),
             bad=(
-                "@hot_path\n"
-                "def tick(buf, new):\n"
+                "def tick(buf, new):                   # hot_path=True\n"
                 "    buf = np.concatenate([buf, new])  # copy per tick"
             ),
             good=(
-                "@hot_path\n"
-                "def tick(ring, new):\n"
+                "def tick(ring, new):                  # hot_path=True\n"
                 "    ring[head] = new                  # write in place"
             ),
         ),
@@ -238,7 +237,8 @@ RULE_DOCS: Dict[str, RuleDoc] = {
             code="N705",
             summary=RULES["N705"],
             rationale=(
-                "np.zeros/empty/arange/... inside a @hot_path function "
+                "np.zeros/empty/arange/... inside a hot-path function "
+                "(its ARRAY_CONTRACTS entry sets hot_path=True) "
                 "allocates a fresh buffer on every tick. Allocation "
                 "cost scales with connected machines, fragments the "
                 "heap, and is the single most common source of "
@@ -246,14 +246,12 @@ RULE_DOCS: Dict[str, RuleDoc] = {
                 "outside the hot path and fill in place."
             ),
             bad=(
-                "@hot_path\n"
-                "def tick(rows):\n"
+                "def tick(rows):                    # hot_path=True\n"
                 "    scratch = np.zeros(len(rows))  # per-tick alloc"
             ),
             good=(
-                "scratch = np.zeros(capacity)  # once, at setup\n"
-                "@hot_path\n"
-                "def tick(rows):\n"
+                "scratch = np.zeros(capacity)       # once, at setup\n"
+                "def tick(rows):                    # hot_path=True\n"
                 "    scratch[:len(rows)] = 0.0"
             ),
         ),

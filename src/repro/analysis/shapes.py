@@ -32,19 +32,20 @@ Rules
   body calls a vectorized kernel: one call on the full matrix is the
   same math at a fraction of the cost,
 * ``N703`` — a hidden copy (fancy indexing, ``concatenate``/
-  ``ascontiguousarray``/...) inside a ``@hot_path``-marked function,
+  ``ascontiguousarray``/...) inside a hot-path function (one whose
+  contract sets ``hot_path``),
 * ``N704`` — a shape/broadcast mismatch: wrong rank against a declared
   contract, conflicting symbolic dims within one call, or two concrete
   shapes that cannot broadcast,
 * ``N705`` — a fresh allocation (``np.zeros``/``empty``/``arange``/...)
-  inside a ``@hot_path``-marked function,
+  inside a hot-path function,
 * ``N706`` — an operand known to be non-contiguous reaching an
   einsum/BLAS kernel (the library strides or silently copies; the
   batch-invariant reduction order assumes neither).
 
 The runtime counterpart is :mod:`repro.analysis.arraysan`, which wraps
-the same contracted entry points during ``repro replay --sanitize`` and
-fails when observed shapes/dtypes contradict these static verdicts.
+each contract's ``site`` during ``repro replay --sanitize`` and fails
+when observed shapes/dtypes contradict these static verdicts.
 """
 
 from __future__ import annotations
@@ -63,7 +64,6 @@ from repro.analysis.signatures import (
     ARRAY_CONTRACTS,
     BLAS_KERNEL_CALLS,
     COPY_CALLS,
-    HOT_PATH_DECORATORS,
     KERNEL_DTYPE,
     ArrayContract,
     ArraySpec,
@@ -416,17 +416,6 @@ def _nested_list_shape(expr: ast.expr) -> Shape:
     if all(isinstance(e, ast.Constant) for e in expr.elts):
         return (len(expr.elts),)
     return None
-
-
-def _hot_path_decorated(node: Optional[ast.AST]) -> bool:
-    if node is None:
-        return False
-    for decorator in getattr(node, "decorator_list", []):
-        expr = decorator.func if isinstance(decorator, ast.Call) else decorator
-        target = call_target(expr)
-        if target in HOT_PATH_DECORATORS:
-            return True
-    return False
 
 
 # ----------------------------------------------------------------------
@@ -948,7 +937,8 @@ class _ShapeChecker:
         self.path = path
         self.unit = unit
         self.analysis = ShapeAnalysis(unit, summaries)
-        self.is_hot = _hot_path_decorated(unit.node)
+        contract = self.analysis.contract
+        self.is_hot = contract is not None and contract.hot_path
         self._seen: set = set()
 
     def run(self) -> List[Finding]:
@@ -1006,7 +996,7 @@ class _ShapeChecker:
             if target in ALLOCATOR_CALLS:
                 findings.extend(self._emit(
                     "N705", call,
-                    f"np.{target}() allocates inside a @hot_path "
+                    f"np.{target}() allocates inside a hot-path "
                     "function; preallocate the buffer outside the "
                     "per-tick path and fill it in place",
                 ))
@@ -1014,7 +1004,7 @@ class _ShapeChecker:
                 findings.extend(self._emit(
                     "N703", call,
                     f"{target}() materializes a copy inside a "
-                    "@hot_path function; restructure so the hot path "
+                    "hot-path function; restructure so the hot path "
                     "works in preallocated storage",
                 ))
         return findings
@@ -1129,7 +1119,7 @@ class _ShapeChecker:
             return []
         return self._emit(
             "N703", node,
-            "fancy indexing copies inside a @hot_path function; use a "
+            "fancy indexing copies inside a hot-path function; use a "
             "precomputed slice or index outside the per-tick path",
         )
 

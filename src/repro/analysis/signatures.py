@@ -459,12 +459,19 @@ class ArrayContract:
     (``self`` receivers never appear in AST call args, so methods and
     functions line up the same way); keywords match by name.  A ``None``
     spec means "no array expectation for this parameter".
+
+    ``hot_path`` marks the function as per-tick hot: N703/N705 forbid
+    copies and allocations in its body, and the runtime sanitizer
+    counts its calls as hot.  ``site`` (``"module:qualname"``) is where
+    the runtime sanitizer wraps the function while armed; a contract
+    without one is checked statically only.
     """
 
     name: str
     params: Tuple[Tuple[str, Optional[ArraySpec]], ...] = ()
     returns: Optional[ArraySpec] = None
     hot_path: bool = False
+    site: Optional[str] = None
 
     def spec_for(
         self, position: int, keyword: Optional[str]
@@ -485,9 +492,10 @@ def _vec(*dims: Dim, contiguous: Optional[bool] = None) -> ArraySpec:
 
 #: Callable (last dotted segment) -> array contract.  The registry is
 #: shared by the static N7xx checker (argument shapes/dtypes at call
-#: sites, parameter seeding inside the contracted function) and the
-#: runtime ArraySanitizer (observed-vs-declared cross-check during
-#: ``repro replay --sanitize``).
+#: sites, parameter seeding inside the contracted function, N703/N705
+#: inside a ``hot_path`` function) and the runtime ArraySanitizer,
+#: which wraps every ``site`` while armed (observed-vs-declared
+#: cross-check during ``repro replay --sanitize``).
 ARRAY_CONTRACTS: Dict[str, ArrayContract] = {
     # regression.kernels — the batch-size-invariant predict kernel.
     "matvec": ArrayContract(
@@ -498,52 +506,69 @@ ARRAY_CONTRACTS: Dict[str, ArrayContract] = {
         ),
         returns=_vec("n"),
         hot_path=True,
+        site="repro.regression.kernels:matvec",
     ),
-    # Model predict surfaces: one design matrix in, one power series out.
+    # Model predict surfaces: one design matrix in, one power series
+    # out.  ``predict`` is a method of every model family, so it has no
+    # one site and is checked statically only.
     "predict": ArrayContract(
         "predict",
         params=(("design", _vec("n", "k")),),
         returns=_vec("n"),
     ),
-    "predict_log": ArrayContract("predict_log", returns=_vec("n")),
+    "predict_log": ArrayContract(
+        "predict_log",
+        returns=_vec("n"),
+        site="repro.models.composition:PlatformModel.predict_log",
+    ),
     "evaluate_bases": ArrayContract(
         "evaluate_bases",
         params=(("bases", None), ("design", _vec("n", "k"))),
         returns=_vec("n", "m"),
+        site="repro.regression.hinge:evaluate_bases",
     ),
     # regression fits.
     "fit_ols": ArrayContract(
         "fit_ols",
         params=(("design", _vec("n", "k")), ("response", _vec("n"))),
+        site="repro.regression.ols:fit_ols",
     ),
     "fit_lasso": ArrayContract(
         "fit_lasso",
         params=(("design", _vec("n", "k")), ("response", _vec("n"))),
+        site="repro.regression.lasso:fit_lasso",
     ),
     "fit_mars": ArrayContract(
         "fit_mars",
         params=(("design", _vec("n", "k")), ("response", _vec("n"))),
+        site="repro.regression.mars:fit_mars",
     ),
     "add_intercept": ArrayContract(
         "add_intercept",
         params=(("design", _vec("n", "k")),),
         returns=_vec("n", "m"),
+        site="repro.regression.ols:add_intercept",
     ),
     # metrics.errors — paired power series in watts, float64.
     "mean_squared_error": ArrayContract(
         "mean_squared_error",
         params=(("actual", _vec("n")), ("predicted", _vec("n"))),
+        site="repro.metrics.errors:mean_squared_error",
     ),
     "root_mean_squared_error": ArrayContract(
         "root_mean_squared_error",
         params=(("actual", _vec("n")), ("predicted", _vec("n"))),
+        site="repro.metrics.errors:root_mean_squared_error",
     ),
     "dynamic_range_error": ArrayContract(
         "dynamic_range_error",
         params=(("actual", _vec("n")), ("predicted", _vec("n"))),
+        site="repro.metrics.errors:dynamic_range_error",
     ),
     "dynamic_range": ArrayContract(
-        "dynamic_range", params=(("actual", _vec("n")),),
+        "dynamic_range",
+        params=(("actual", _vec("n")),),
+        site="repro.metrics.errors:dynamic_range",
     ),
     # serving — feature rows, the drift envelope's training design and
     # the drift block's per-group update (one row per distinct slot).
@@ -553,10 +578,17 @@ ARRAY_CONTRACTS: Dict[str, ArrayContract] = {
             ("platform_model", None),
             ("training_design", _vec("n", "k")),
         ),
+        site="repro.serving.bundle:make_bundle",
     ),
-    "prepare_row": ArrayContract("prepare_row", returns=_vec("k")),
+    "prepare_row": ArrayContract(
+        "prepare_row",
+        returns=_vec("k"),
+        site="repro.framework.online:OnlinePowerPredictor.prepare_row",
+    ),
     "observe": ArrayContract(
-        "observe", params=(("sample", _vec("k")),),
+        "observe",
+        params=(("sample", _vec("k")),),
+        site="repro.framework.drift:InputDriftDetector.observe",
     ),
     "observe_rows": ArrayContract(
         "observe_rows",
@@ -565,42 +597,51 @@ ARRAY_CONTRACTS: Dict[str, ArrayContract] = {
             ("rows", _vec("n", "k", contiguous=True)),
         ),
         returns=ArraySpec(shape=("n",), dtype="bool"),
+        site="repro.framework.drift:DriftBlock.observe_rows",
     ),
     "offline_reference": ArrayContract(
-        "offline_reference", returns=_vec("n"),
+        "offline_reference",
+        returns=_vec("n"),
+        site="repro.serving.replay:offline_reference",
     ),
     # dse — the campaign ranking core operates on dense float64
-    # (n_candidates, n_objectives) matrices; every entry point is also
-    # @contracted so `repro replay --sanitize`-style runtime checks can
-    # observe a campaign (the same one-registry rule as the kernels).
+    # (n_candidates, n_objectives) matrices.  Their sites let a test or
+    # a script arm the sanitizer around a campaign; no CLI command
+    # arms it there.
     "pareto_frontier": ArrayContract(
         "pareto_frontier",
         params=(("objectives", _vec("n", "m")),),
+        site="repro.dse.pareto:pareto_frontier",
     ),
     "nondominated_sort": ArrayContract(
         "nondominated_sort",
         params=(("objectives", _vec("n", "m")),),
         returns=ArraySpec(shape=("n",), dtype="int64"),
+        site="repro.dse.pareto:nondominated_sort",
     ),
     "crowding_distance": ArrayContract(
         "crowding_distance",
         params=(("objectives", _vec("n", "m")),),
         returns=_vec("n"),
+        site="repro.dse.pareto:crowding_distance",
     ),
     "minmax_normalize": ArrayContract(
         "minmax_normalize",
         params=(("objectives", _vec("n", "m")),),
         returns=_vec("n", "m"),
+        site="repro.dse.mcdm:minmax_normalize",
     ),
     "mcdm_scores": ArrayContract(
         "mcdm_scores",
         params=(("objectives", _vec("n", "m")), ("weights", _vec("m"))),
         returns=_vec("n"),
+        site="repro.dse.mcdm:mcdm_scores",
     ),
     "main_effects": ArrayContract(
         "main_effects",
         params=(("design", _vec("n", "k")), ("objectives", _vec("n", "m"))),
         returns=_vec("k", "m"),
+        site="repro.dse.factorial:main_effects",
     ),
 }
 
@@ -612,11 +653,6 @@ def array_contract(func: ast.AST) -> Optional[ArrayContract]:
         return None
     return ARRAY_CONTRACTS.get(target)
 
-
-#: Decorator names (last dotted segment) marking a function as a
-#: per-tick hot path: no allocation (N705) or hidden copy (N703)
-#: belongs inside one.
-HOT_PATH_DECORATORS = frozenset({"hot_path"})
 
 #: numpy allocators: every call returns a fresh buffer (N705 inside a
 #: hot path).  Disjoint from COPY_CALLS so one call maps to one rule.

@@ -800,6 +800,7 @@ def _cmd_sweep(args, out) -> int:
 
 def _cmd_serve(args, out) -> int:
     import asyncio
+    import contextlib
 
     from repro.serving import ModelRegistry, ShardedPowerServer
 
@@ -818,37 +819,36 @@ def _cmd_serve(args, out) -> int:
 
     async def _run() -> None:
         nonlocal sanitizer, array_sanitizer
-        if args.sanitize:
-            from repro.analysis.arraysan import install_array_sanitizer
-            from repro.analysis.sanitizer import install_sanitizer
+        # Everything armed or started here is undone in reverse order,
+        # however serving ends (a bad argument or bind included).
+        async with contextlib.AsyncExitStack() as stack:
+            if args.sanitize:
+                from repro.analysis.arraysan import install_array_sanitizer
+                from repro.analysis.sanitizer import install_sanitizer
 
-            sanitizer = install_sanitizer(asyncio.get_running_loop())
-            array_sanitizer = install_array_sanitizer()
-        server = ShardedPowerServer(
-            registry=registry,
-            n_shards=args.shards,
-            shard_backend=args.shard_backend,
-            host=args.host,
-            port=args.port,
-            tick_interval_s=args.tick_interval_s,
-        )
-        await server.start()
-        print(
-            f"chaos-serve listening on {server.host}:{server.port} "
-            f"({len(platforms)} platform(s): {', '.join(platforms)}); "
-            "Ctrl-C to stop"
-            f" [{args.shards} {args.shard_backend} shard(s)]"
-            + (" [sanitizer armed]" if args.sanitize else ""),
-            file=out,
-        )
-        try:
+                sanitizer = install_sanitizer(asyncio.get_running_loop())
+                stack.callback(sanitizer.uninstall)
+                array_sanitizer = install_array_sanitizer()
+                stack.callback(array_sanitizer.uninstall)
+            server = ShardedPowerServer(
+                registry=registry,
+                n_shards=args.shards,
+                shard_backend=args.shard_backend,
+                host=args.host,
+                port=args.port,
+                tick_interval_s=args.tick_interval_s,
+            )
+            stack.push_async_callback(server.stop)
+            await server.start()
+            print(
+                f"chaos-serve listening on {server.host}:{server.port} "
+                f"({len(platforms)} platform(s): {', '.join(platforms)}); "
+                "Ctrl-C to stop"
+                f" [{args.shards} {args.shard_backend} shard(s)]"
+                + (" [sanitizer armed]" if args.sanitize else ""),
+                file=out,
+            )
             await asyncio.Event().wait()
-        finally:
-            await server.stop()
-            if sanitizer is not None:
-                sanitizer.uninstall()
-            if array_sanitizer is not None:
-                array_sanitizer.uninstall()
 
     try:
         asyncio.run(_run())

@@ -23,7 +23,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 from numpy.typing import NDArray
 
-from repro.analysis.arraysan import contracted
 from repro.dse.space import DesignSpace, Scalar
 
 
@@ -90,7 +89,6 @@ def screening_candidates(
     return design, candidates
 
 
-@contracted
 def main_effects(
     design: NDArray[np.float64],
     objectives: NDArray[np.float64],

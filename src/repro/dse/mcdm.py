@@ -18,8 +18,6 @@ from typing import Dict, List, Sequence
 import numpy as np
 from numpy.typing import ArrayLike, NDArray
 
-from repro.analysis.arraysan import contracted
-
 #: Default objective weights: accuracy dominates, the three cost axes
 #: share the rest (see docs/dse.md).
 DEFAULT_WEIGHTS: Dict[str, float] = {
@@ -48,7 +46,6 @@ def normalize_weights(
     return vector / total
 
 
-@contracted
 def minmax_normalize(objectives: ArrayLike) -> NDArray[np.float64]:
     """Column-wise min-max rescale to [0, 1]; constant columns go to 0."""
     matrix = np.asarray(objectives, dtype=float)
@@ -64,7 +61,6 @@ def minmax_normalize(objectives: ArrayLike) -> NDArray[np.float64]:
     return scaled
 
 
-@contracted
 def mcdm_scores(
     objectives: ArrayLike,
     weights: ArrayLike,

@@ -14,8 +14,6 @@ from typing import List
 import numpy as np
 from numpy.typing import ArrayLike, NDArray
 
-from repro.analysis.arraysan import contracted
-
 
 def _as_objective_matrix(objectives: ArrayLike) -> NDArray[np.float64]:
     matrix = np.asarray(objectives, dtype=float)
@@ -35,7 +33,6 @@ def dominates(a: ArrayLike, b: ArrayLike) -> bool:
     return bool(np.all(left <= right) and np.any(left < right))
 
 
-@contracted
 def pareto_frontier(objectives: ArrayLike) -> List[int]:
     """Indices of the nondominated rows, ascending.
 
@@ -55,7 +52,6 @@ def pareto_frontier(objectives: ArrayLike) -> List[int]:
     return frontier
 
 
-@contracted
 def nondominated_sort(objectives: ArrayLike) -> NDArray[np.int64]:
     """Front index per row: 0 for the frontier, 1 for the frontier of
     the rest, and so on (lower is fitter)."""
@@ -75,7 +71,6 @@ def nondominated_sort(objectives: ArrayLike) -> NDArray[np.int64]:
     return ranks
 
 
-@contracted
 def crowding_distance(objectives: ArrayLike) -> NDArray[np.float64]:
     """NSGA-II crowding distance within one front (bigger = lonelier).
 

@@ -32,8 +32,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.analysis.arraysan import contracted
-
 
 @dataclass(frozen=True)
 class DriftVerdict:
@@ -188,7 +186,6 @@ class InputDriftDetector:
         return detector
 
     # ------------------------------------------------------------------
-    @contracted
     def observe(self, sample: np.ndarray) -> DriftVerdict:
         """Ingest one second of model inputs and reassess drift."""
         if not self.is_fitted:
@@ -333,7 +330,6 @@ class DriftBlock:
         self._fill[slot] = 0
 
     # -- the update ----------------------------------------------------
-    @contracted
     def observe_rows(self, slots: np.ndarray, rows: np.ndarray) -> np.ndarray:
         """Ingest ``rows[i]`` into slot ``slots[i]``; returns each
         sample's ``drifting``.

@@ -31,7 +31,6 @@ from typing import Callable
 
 import numpy as np
 
-from repro.analysis.arraysan import contracted
 from repro.models.composition import PlatformModel
 
 _LAG_SUFFIX = " (t-1)"
@@ -177,7 +176,6 @@ class OnlinePowerPredictor:
                 return float(fallback)
         raise KeyError(f"sample missing counters: [{name!r}]")
 
-    @contracted
     def prepare_row(
         self,
         counter_sample: dict[str, float],

@@ -20,8 +20,6 @@ from __future__ import annotations
 import numpy as np
 from numpy.typing import ArrayLike, NDArray
 
-from repro.analysis.arraysan import contracted
-
 
 def _as_aligned_arrays(
     actual: ArrayLike, predicted: ArrayLike
@@ -41,14 +39,12 @@ def _as_aligned_arrays(
     return y, yhat
 
 
-@contracted
 def mean_squared_error(actual: ArrayLike, predicted: ArrayLike) -> float:
     """Mean squared prediction error in watts squared."""
     y, yhat = _as_aligned_arrays(actual, predicted)
     return float(np.mean((y - yhat) ** 2))
 
 
-@contracted
 def root_mean_squared_error(
     actual: ArrayLike, predicted: ArrayLike
 ) -> float:
@@ -93,7 +89,6 @@ def median_relative_error(
     return float(np.median(np.abs(y - yhat) / y))
 
 
-@contracted
 def dynamic_range(
     actual: ArrayLike, idle_power: float | None = None
 ) -> float:
@@ -110,7 +105,6 @@ def dynamic_range(
     return float(np.max(y)) - floor
 
 
-@contracted
 def dynamic_range_error(
     actual: ArrayLike,
     predicted: ArrayLike,

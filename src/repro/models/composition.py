@@ -13,7 +13,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.analysis.arraysan import contracted
 from repro.cluster.runner import ClusterRun
 from repro.models.base import PowerModel
 from repro.models.featuresets import FeatureSet
@@ -27,7 +26,6 @@ class PlatformModel:
     model: PowerModel
     feature_set: FeatureSet
 
-    @contracted
     def predict_log(self, log) -> np.ndarray:
         """Predicted power series for one machine's Perfmon log."""
         return self.model.predict(self.feature_set.extract(log))

@@ -14,8 +14,6 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from repro.analysis.arraysan import contracted
-
 
 @dataclass(frozen=True)
 class Hinge:
@@ -101,7 +99,6 @@ class BasisFunction:
 INTERCEPT_BASIS = BasisFunction()
 
 
-@contracted
 def evaluate_bases(
     bases: Sequence[BasisFunction], design: np.ndarray
 ) -> np.ndarray:

@@ -20,11 +20,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.analysis.arraysan import contracted, hot_path
 
-
-@contracted
-@hot_path
 def matvec(matrix: np.ndarray, vector: np.ndarray) -> np.ndarray:
     """``matrix @ vector`` with a batch-size-invariant reduction.
 
@@ -32,10 +28,13 @@ def matvec(matrix: np.ndarray, vector: np.ndarray) -> np.ndarray:
     feature axis, so ``matvec(m[i:j], v)`` equals ``matvec(m, v)[i:j]``
     bit-for-bit for any row partition.
 
-    Contracted (see ``repro.analysis.signatures.ARRAY_CONTRACTS``):
-    ``matrix`` is a C-contiguous float64 ``(n, k)``, ``vector`` a
-    float64 ``(k,)``; anything else either changes rounding (dtype) or
-    forces einsum to stride/copy (layout), both of which break the
-    partition-invariance guarantee above.
+    Its entry in ``repro.analysis.signatures.ARRAY_CONTRACTS`` is the
+    one declaration of its contract: ``matrix`` is a C-contiguous
+    float64 ``(n, k)``, ``vector`` a float64 ``(k,)``; anything else
+    either changes rounding (dtype) or forces einsum to stride/copy
+    (layout), both of which break the partition-invariance guarantee
+    above.  The entry also marks it hot (N703/N705 forbid copies and
+    allocations here) and names it as a site the array sanitizer wraps
+    while armed.
     """
     return np.einsum("ij,j->i", matrix, vector)

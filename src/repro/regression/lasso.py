@@ -57,8 +57,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.analysis.arraysan import contracted
-
 # Relative Schur complement at or below which a column is taken to lie in
 # the span of the active columns.
 _SPAN = 1e-10
@@ -224,7 +222,6 @@ def _fits(
         )
 
 
-@contracted
 def fit_lasso(
     design: np.ndarray,
     response: np.ndarray,

@@ -39,7 +39,6 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from repro.analysis.arraysan import contracted
 from repro.regression.hinge import (
     INTERCEPT_BASIS,
     BasisFunction,
@@ -304,7 +303,6 @@ def _backward_pass(
     return best_bases, best_coefficients, best_gcv, best_rss
 
 
-@contracted
 def fit_mars(
     design: np.ndarray,
     response: np.ndarray,

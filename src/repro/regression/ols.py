@@ -19,14 +19,12 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import stats
 
-from repro.analysis.arraysan import contracted
 from repro.regression.kernels import matvec
 
 _RCOND = 1e-8
 """Relative singular-value cutoff; below this a direction is unidentified."""
 
 
-@contracted
 def add_intercept(design: np.ndarray) -> np.ndarray:
     """Prepend a column of ones to a design matrix."""
     design = np.asarray(design, dtype=float)
@@ -90,7 +88,6 @@ class OLSFit:
         return self.intercept + matvec(design, self.slopes)
 
 
-@contracted
 def fit_ols(design: np.ndarray, response: np.ndarray) -> OLSFit:
     """Fit ``response ~ 1 + design`` by least squares.
 

@@ -22,7 +22,6 @@ from typing import Any
 
 import numpy as np
 
-from repro.analysis.arraysan import contracted
 from repro.engine.hashing import canonical_json, sha256_hex
 from repro.framework.drift import DriftBlock, InputDriftDetector
 from repro.models.composition import PlatformModel
@@ -140,7 +139,6 @@ def bundle_from_payload(payload: dict) -> ServingBundle:
     )
 
 
-@contracted
 def make_bundle(
     platform_model: PlatformModel,
     training_design: np.ndarray,

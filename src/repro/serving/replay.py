@@ -21,13 +21,13 @@ so CI can drive a committed golden scenario without regenerating data.
 from __future__ import annotations
 
 import asyncio
+import contextlib
 import json
 from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 
-from repro.analysis.arraysan import contracted
 from repro.engine.cache import atomic_write_json
 from repro.serving import protocol
 from repro.serving.bundle import (
@@ -217,14 +217,6 @@ async def replay_async(
         raise ValueError("need at least one machine to replay")
     if speed <= 0:
         raise ValueError("speed must be positive")
-    sanitizer = None
-    array_sanitizer = None
-    if sanitize:
-        from repro.analysis.arraysan import install_array_sanitizer
-        from repro.analysis.sanitizer import install_sanitizer
-
-        sanitizer = install_sanitizer(asyncio.get_running_loop())
-        array_sanitizer = install_array_sanitizer()
     config = session_config or SessionConfig()
     if window >= config.queue_limit:
         raise ValueError(
@@ -232,16 +224,29 @@ async def replay_async(
             f"queue limit {config.queue_limit} (or shedding is possible)"
         )
     interval_s = 1.0 / speed
-    server = ShardedPowerServer(
-        registry=registry,
-        static_bundles=static_bundles,
-        n_shards=shards,
-        shard_backend=shard_backend,
-        tick_interval_s=interval_s,
-        session_config=config,
-    )
-    await server.start()
-    try:
+    sanitizer = None
+    array_sanitizer = None
+    # Everything armed or started from here on is undone on the way
+    # out, in reverse order, however the replay ends.
+    async with contextlib.AsyncExitStack() as stack:
+        if sanitize:
+            from repro.analysis.arraysan import install_array_sanitizer
+            from repro.analysis.sanitizer import install_sanitizer
+
+            sanitizer = install_sanitizer(asyncio.get_running_loop())
+            stack.callback(sanitizer.uninstall)
+            array_sanitizer = install_array_sanitizer()
+            stack.callback(array_sanitizer.uninstall)
+        server = ShardedPowerServer(
+            registry=registry,
+            static_bundles=static_bundles,
+            n_shards=shards,
+            shard_backend=shard_backend,
+            tick_interval_s=interval_s,
+            session_config=config,
+        )
+        stack.push_async_callback(server.stop)
+        await server.start()
         results = await asyncio.gather(
             *(
                 _stream_machine(
@@ -261,12 +266,6 @@ async def replay_async(
                 if result.session is not None
             ]
         )
-    finally:
-        await server.stop()
-        if sanitizer is not None:
-            sanitizer.uninstall()
-        if array_sanitizer is not None:
-            array_sanitizer.uninstall()
     telemetry["speed"] = speed
     if sanitizer is not None:
         telemetry["sanitizer"] = sanitizer.report()
@@ -306,7 +305,6 @@ def replay(
     )
 
 
-@contracted
 def offline_reference(
     bundle: ServingBundle, log: PerfmonLog
 ) -> np.ndarray:

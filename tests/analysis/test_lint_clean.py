@@ -1,14 +1,40 @@
 """Tier-1 gate: the shipped tree is chaos-lint clean, and seeded faults
-are detected end-to-end through the ``repro lint`` CLI."""
+are detected end-to-end through the ``repro lint`` CLI.
+
+The whole tree is linted once per session (``tree_lint_report`` in
+``conftest.py``); every family gate filters that one report.  The
+skip-a-pass checks run on a one-file tree seeded with a fault of the
+family they skip, so each shows the pass was skipped, not merely clean.
+"""
 
 import io
 import json
-from pathlib import Path
 
+from repro.analysis.findings import filter_findings
 from repro.analysis.runner import run_lint
 from repro.cli import main
 
-REPO_ROOT = Path(__file__).resolve().parents[2]
+LEAKAGE_FAULT = (
+    "def evaluate(runs):\n"
+    "    for fold in runwise_folds(runs):\n"
+    "        test = [runs[i] for i in fold.test_runs]\n"
+    "        model.fit(test)\n"
+)
+
+RACE_FAULT = (
+    "class Server:\n"
+    "    async def stop(self):\n"
+    "        if self._tick_task is not None:\n"
+    "            await self._tick_task\n"
+    "            self._tick_task = None\n"
+)
+
+SHAPE_FAULT = (
+    "import numpy as np\n"
+    "def score(design):\n"
+    "    row = np.asarray([1.0], dtype=np.float32)\n"
+    "    return matvec(design, row)\n"
+)
 
 
 def _run_cli(argv):
@@ -17,9 +43,17 @@ def _run_cli(argv):
     return code, out.getvalue()
 
 
+def _one_file_tree(root, source):
+    """``root`` holding ``src/fault.py`` with ``source``."""
+    path = root / "src" / "fault.py"
+    path.parent.mkdir()
+    path.write_text(source)
+    return root
+
+
 class TestCleanTree:
-    def test_repository_is_lint_clean(self):
-        report = run_lint(root=REPO_ROOT)
+    def test_repository_is_lint_clean(self, tree_lint_report):
+        report = tree_lint_report
         assert report.findings == [], report.render_text()
         assert report.exit_code == 0
         assert report.n_platforms_checked == 6
@@ -28,47 +62,48 @@ class TestCleanTree:
         assert report.n_files_race_analyzed > 100
         assert report.n_files_shape_analyzed > 100
 
-    def test_cli_exits_zero_on_clean_tree(self):
-        code, text = _run_cli(["lint", "--root", str(REPO_ROOT)])
+    def test_cli_exits_zero_on_clean_tree(self, tmp_path):
+        root = _one_file_tree(tmp_path, "x = 1\n")
+        code, text = _run_cli(["lint", "--root", str(root)])
         assert code == 0
         assert "0 finding(s)" in text
 
-    def test_dataflow_families_clean_on_tree(self):
+    def test_dataflow_families_clean_on_tree(self, tree_lint_report):
         # The acceptance gate for chaos-flow: no leakage or unit
         # findings anywhere in src/benchmarks/examples.
-        code, text = _run_cli([
-            "lint", "--root", str(REPO_ROOT), "--select", "L,U"
-        ])
-        assert code == 0, text
+        findings = filter_findings(tree_lint_report.findings, select="L,U")
+        assert findings == [], [finding.render() for finding in findings]
 
-    def test_no_dataflow_skips_flow_pass(self):
-        report = run_lint(root=REPO_ROOT, dataflow=False)
+    def test_no_dataflow_skips_flow_pass(self, tmp_path):
+        root = _one_file_tree(tmp_path, LEAKAGE_FAULT)
+        assert run_lint(root=root).counts_by_code() == {"L401": 1}
+        report = run_lint(root=root, dataflow=False)
         assert report.n_files_flow_analyzed == 0
         assert report.exit_code == 0
 
-    def test_race_family_clean_on_tree(self):
+    def test_race_family_clean_on_tree(self, tree_lint_report):
         # The acceptance gate for chaos-race: no concurrency findings
         # and zero stale suppressions anywhere in the tree.
-        code, text = _run_cli([
-            "lint", "--root", str(REPO_ROOT), "--select", "R,W"
-        ])
-        assert code == 0, text
+        findings = filter_findings(tree_lint_report.findings, select="R,W")
+        assert findings == [], [finding.render() for finding in findings]
 
-    def test_no_races_skips_race_pass(self):
-        report = run_lint(root=REPO_ROOT, races=False)
+    def test_no_races_skips_race_pass(self, tmp_path):
+        root = _one_file_tree(tmp_path, RACE_FAULT)
+        assert run_lint(root=root).counts_by_code() == {"R601": 1}
+        report = run_lint(root=root, races=False)
         assert report.n_files_race_analyzed == 0
         assert report.exit_code == 0
 
-    def test_shape_family_clean_on_tree(self):
+    def test_shape_family_clean_on_tree(self, tree_lint_report):
         # The acceptance gate for chaos-shape: no numeric-array
         # findings anywhere in the tree, with zero suppressions.
-        code, text = _run_cli([
-            "lint", "--root", str(REPO_ROOT), "--select", "N"
-        ])
-        assert code == 0, text
+        findings = filter_findings(tree_lint_report.findings, select="N")
+        assert findings == [], [finding.render() for finding in findings]
 
-    def test_no_shapes_skips_shape_pass(self):
-        report = run_lint(root=REPO_ROOT, shapes=False)
+    def test_no_shapes_skips_shape_pass(self, tmp_path):
+        root = _one_file_tree(tmp_path, SHAPE_FAULT)
+        assert run_lint(root=root).counts_by_code() == {"N701": 1}
+        report = run_lint(root=root, shapes=False)
         assert report.n_files_shape_analyzed == 0
         assert report.exit_code == 0
 
@@ -140,12 +175,7 @@ class TestSeededFaults:
 
     def test_seeded_leakage_fault_through_cli(self, tmp_path):
         bad = tmp_path / "fault.py"
-        bad.write_text(
-            "def evaluate(runs):\n"
-            "    for fold in runwise_folds(runs):\n"
-            "        test = [runs[i] for i in fold.test_runs]\n"
-            "        model.fit(test)\n"
-        )
+        bad.write_text(LEAKAGE_FAULT)
         code, text = _run_cli(["lint", "--no-semantic", str(bad)])
         assert code == 1
         assert "L401" in text
@@ -173,24 +203,14 @@ class TestSeededFaults:
 
     def test_seeded_shape_fault_through_cli(self, tmp_path):
         bad = tmp_path / "fault.py"
-        bad.write_text(
-            "import numpy as np\n"
-            "def score(design):\n"
-            "    row = np.asarray([1.0], dtype=np.float32)\n"
-            "    return matvec(design, row)\n"
-        )
+        bad.write_text(SHAPE_FAULT)
         code, text = _run_cli(["lint", "--no-semantic", str(bad)])
         assert code == 1
         assert "N701" in text
 
     def test_no_shapes_flag_suppresses_shape_findings(self, tmp_path):
         bad = tmp_path / "fault.py"
-        bad.write_text(
-            "import numpy as np\n"
-            "def score(design):\n"
-            "    row = np.asarray([1.0], dtype=np.float32)\n"
-            "    return matvec(design, row)\n"
-        )
+        bad.write_text(SHAPE_FAULT)
         code, _ = _run_cli([
             "lint", "--no-semantic", "--no-shapes", str(bad)
         ])

@@ -282,12 +282,9 @@ class TestR605ForkPickleHazards:
 
 
 class TestTreeIsRaceClean:
-    def test_shipped_tree_has_no_r6xx_findings(self):
-        from pathlib import Path
+    def test_shipped_tree_has_no_r6xx_findings(self, tree_lint_report):
+        from repro.analysis.findings import filter_findings
 
-        from repro.analysis.runner import run_lint
-
-        repo_root = Path(__file__).resolve().parents[2]
-        report = run_lint(root=repo_root, select="R")
-        assert report.findings == [], report.render_text()
-        assert report.n_files_race_analyzed > 100
+        findings = filter_findings(tree_lint_report.findings, select="R")
+        assert findings == [], [finding.render() for finding in findings]
+        assert tree_lint_report.n_files_race_analyzed > 100

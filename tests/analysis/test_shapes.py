@@ -11,6 +11,20 @@ import textwrap
 import pytest
 
 from repro.analysis.shapes import check_shapes_source
+from repro.analysis.signatures import ARRAY_CONTRACTS, ArrayContract
+
+
+@pytest.fixture
+def hot(monkeypatch):
+    """Declare a function hot the way the tree does: its entry in
+    ARRAY_CONTRACTS sets ``hot_path``."""
+
+    def declare(name):
+        monkeypatch.setitem(
+            ARRAY_CONTRACTS, name, ArrayContract(name, hot_path=True)
+        )
+
+    return declare
 
 
 def _codes(source):
@@ -141,25 +155,23 @@ class TestN702RowLoop:
 
 
 class TestN703HiddenCopy:
-    def test_concatenate_in_hot_path_fires(self):
+    def test_concatenate_in_hot_path_fires(self, hot):
+        hot("tick")
         assert "N703" in _codes(
             """
             import numpy as np
-            from repro.analysis.arraysan import hot_path
 
-            @hot_path
             def tick(buf, new):
                 return np.concatenate([buf, new])
             """
         )
 
-    def test_fancy_indexing_in_hot_path_fires(self):
+    def test_fancy_indexing_in_hot_path_fires(self, hot):
+        hot("gather")
         assert "N703" in _codes(
             """
             import numpy as np
-            from repro.analysis.arraysan import hot_path
 
-            @hot_path
             def gather(values):
                 keep = np.zeros((8, 3))
                 rows = np.arange(2)
@@ -177,13 +189,12 @@ class TestN703HiddenCopy:
             """
         ) == []
 
-    def test_in_place_write_in_hot_path_is_silent(self):
+    def test_in_place_write_in_hot_path_is_silent(self, hot):
+        hot("tick")
         assert _codes(
             """
             import numpy as np
-            from repro.analysis.arraysan import hot_path
 
-            @hot_path
             def tick(ring, new, head):
                 ring[head] = new
                 return ring
@@ -265,13 +276,12 @@ class TestN704ShapeContract:
 
 
 class TestN705HotPathAllocation:
-    def test_zeros_in_hot_path_fires(self):
+    def test_zeros_in_hot_path_fires(self, hot):
+        hot("tick")
         assert "N705" in _codes(
             """
             import numpy as np
-            from repro.analysis.arraysan import hot_path
 
-            @hot_path
             def tick(rows):
                 scratch = np.zeros(8)
                 return scratch
@@ -288,13 +298,12 @@ class TestN705HotPathAllocation:
             """
         ) == []
 
-    def test_hot_path_without_allocation_is_silent(self):
+    def test_hot_path_without_allocation_is_silent(self, hot):
+        hot("tick")
         assert _codes(
             """
             import numpy as np
-            from repro.analysis.arraysan import hot_path
 
-            @hot_path
             def tick(scratch, rows):
                 scratch[:] = 0.0
                 return scratch
@@ -362,6 +371,20 @@ class TestContractSeeding:
                 return np.einsum("ij,j->i", matrix.T, vector)
             """
         )
+
+    def test_matvec_contract_marks_it_hot(self):
+        # The table's hot_path flag on matvec is what puts its body
+        # under N703/N705; no decorator is involved.
+        assert {"N703", "N705"} <= set(_codes(
+            """
+            import numpy as np
+
+            def matvec(matrix, vector):
+                scratch = np.zeros(3)
+                both = np.concatenate([vector, scratch])
+                return np.einsum("ij,j->i", matrix, both)
+            """
+        ))
 
     def test_seeded_symbolic_dims_do_not_conflict(self):
         assert _codes(

@@ -169,6 +169,40 @@ def test_replay_rejects_oversized_flow_window(golden_fixture):
         )
 
 
+def test_failed_sanitized_replay_leaves_nothing_armed(golden_fixture):
+    """A sanitized replay that fails before or while starting its
+    server disarms both sanitizers: no armed array sanitizer or bound
+    wrapper, no loop-sanitizer warning hook or asyncio log handler."""
+    import logging
+    import warnings
+
+    from repro.analysis.arraysan import active_array_sanitizer
+    from repro.regression import kernels
+
+    bundle, machines = golden_fixture
+    asyncio_logger = logging.getLogger("asyncio")
+    handlers = list(asyncio_logger.handlers)
+    showwarning = warnings.showwarning
+    matvec = kernels.matvec
+    for bad, message in (
+        ({"window": 10_000}, "flow-control window"),  # argument check
+        ({"shards": 0}, "at least one shard"),  # server construction
+        ({"shard_backend": "bogus"}, "unknown shard backend"),  # start()
+    ):
+        with pytest.raises(ValueError, match=message):
+            replay(
+                machines,
+                static_bundles={bundle.platform_key: ("v1", bundle)},
+                speed=50.0,
+                sanitize=True,
+                **bad,
+            )
+        assert active_array_sanitizer() is None
+        assert kernels.matvec is matvec
+        assert warnings.showwarning is showwarning
+        assert asyncio_logger.handlers == handlers
+
+
 def test_fixture_round_trip(scenario, tmp_path):
     path = tmp_path / "fixture.json"
     machines = _fixture_machines(scenario)

@@ -173,6 +173,35 @@ class TestServingCommands:
         assert code == 2
         assert "no published models" in text
 
+    def test_sanitized_serve_that_cannot_start_disarms(self, tmp_path):
+        """A bad argument found after arming leaves no sanitizer armed,
+        no loop-sanitizer warning hook and no asyncio log handler."""
+        import logging
+        import warnings
+        from pathlib import Path
+
+        from repro.analysis.arraysan import active_array_sanitizer
+        from repro.serving import ModelRegistry, load_replay_fixture
+
+        fixture = (
+            Path(__file__).parent / "serving" / "fixtures"
+            / "atom_sort_replay.json"
+        )
+        bundle, _ = load_replay_fixture(fixture)
+        registry_path = tmp_path / "registry"
+        ModelRegistry(registry_path).publish(bundle)
+        handlers = list(logging.getLogger("asyncio").handlers)
+        showwarning = warnings.showwarning
+        code, text = _run([
+            "serve", "--registry", str(registry_path), "--sanitize",
+            "--tick-interval", "0",
+        ])
+        assert code == 1
+        assert "tick_interval_s must be positive" in text
+        assert active_array_sanitizer() is None
+        assert warnings.showwarning is showwarning
+        assert logging.getLogger("asyncio").handlers == handlers
+
     def test_replay_needs_a_source(self):
         with pytest.raises(SystemExit):
             main(["replay"])
