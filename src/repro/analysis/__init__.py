@@ -1,6 +1,7 @@
-"""chaos-lint + chaos-flow: static analysis for the modeling pipeline.
+"""chaos-lint: static analysis for the modeling pipeline, plus the two
+runtime sanitizers.
 
-Five layers (see ``docs/static_analysis.md``):
+Three lint layers (see ``docs/static_analysis.md``):
 
 * a semantic checker that validates every platform's counter catalog
   (the co-dependency documentation Algorithm 1 step 2 relies on) and the
@@ -8,22 +9,20 @@ Five layers (see ``docs/static_analysis.md``):
 * an AST pass over the source tree enforcing the determinism contract
   (seeded RNG streams, no float equality in experiments) and common
   Python footguns;
-* chaos-flow: flow-sensitive intraprocedural dataflow analyses — a CFG
-  builder (``cfg``), a generic fixpoint engine (``dataflow``), and the
-  taint/leakage (L4xx) and physical-unit (U5xx) analyses built on them,
-  driven by the API contracts in ``signatures``;
-* chaos-race: concurrency-safety analysis (R6xx) — a module call graph
-  with async coloring (``callgraph``), interleaving-point awareness in
-  the CFG, the rules themselves (``races``), and a runtime event-loop
-  sanitizer (``sanitizer``) behind ``repro serve/replay --sanitize``;
-* chaos-shape: numeric-array analysis (N7xx) — abstract interpretation
-  over a shape/dtype/contiguity lattice (``shapes``) against the
-  declared array contracts in ``signatures``, paired with a runtime
-  array sanitizer (``arraysan``) that wraps each contract's site and
-  cross-checks the same contracts during sanitized replays.
+* chaos-race: concurrency-safety analysis (R6xx) — a CFG builder with
+  interleaving points (``cfg``), a forward fixpoint engine
+  (``dataflow``), a module call graph with async coloring
+  (``callgraph``) and the rules themselves (``races``), driven by the
+  concurrency tables in ``signatures``.
 
-Inline suppressions (``# chaos: ignore[CODE] -- reason``) are honored
-across all file-based layers; see ``suppress``.
+The ``--select``/``--ignore`` filter chooses which layers run.  Inline
+suppressions (``# chaos: ignore[CODE] -- reason``) are honored across
+the file-based layers; see ``suppress``.
+
+Two runtime sanitizers back ``repro serve/replay --sanitize``: an
+event-loop sanitizer (``sanitizer``) and an array-contract sanitizer
+(``arraysan``) that wraps each ``signatures.ARRAY_CONTRACTS`` site and
+checks the shapes, dtypes and contiguity that flow through it.
 
 This package re-exports nothing: import the submodule you need, so
 arming a sanitizer does not load the lint stack, and no module outside

@@ -1,8 +1,7 @@
-"""Runtime array-contract sanitizer: chaos-shape's dynamic half.
+"""Runtime array-contract sanitizer.
 
-The static N7xx rules (:mod:`repro.analysis.shapes`) prove the declared
-:data:`~repro.analysis.signatures.ARRAY_CONTRACTS` hold for every array
-the analysis can see.  This module is the runtime cross-check: while an
+The declared :data:`~repro.analysis.signatures.ARRAY_CONTRACTS` fix the
+shape, dtype and contiguity of each numeric kernel boundary.  While an
 :class:`ArraySanitizer` is armed (``repro replay --sanitize``,
 ``repro serve --sanitize``) the function at every contract's ``site`` is
 wrapped, and each call records the shapes, dtypes and contiguity that
@@ -55,9 +54,10 @@ _ACTIVE_LOCK = threading.Lock()
 _Patch = Tuple[Any, str, FunctionType, Callable[..., Any]]
 
 
-def _resolve(contract: ArrayContract, site: str) -> _Patch:
-    """Find the function at ``site`` (``"module:qualname"``) and build
-    its wrapper; patches nothing."""
+def _resolve(contract: ArrayContract) -> _Patch:
+    """Find the function at the contract's ``site``
+    (``"module:qualname"``) and build its wrapper; patches nothing."""
+    site = contract.site
     module_name, _, qualname = site.partition(":")
     *path, attr = qualname.split(".")
     try:
@@ -142,7 +142,6 @@ class _FunctionStats:
     """What one contracted entry point actually saw at runtime."""
 
     n_calls: int = 0
-    n_hot_calls: int = 0
     n_noncontiguous_args: int = 0
     shapes: Dict[str, int] = field(default_factory=dict)
     """``"param:(n, k)"`` -> observation count (capped)."""
@@ -152,7 +151,6 @@ class _FunctionStats:
     def to_dict(self) -> Dict[str, Any]:
         return {
             "calls": self.n_calls,
-            "hot_calls": self.n_hot_calls,
             "noncontiguous_args": self.n_noncontiguous_args,
             "shapes": dict(self.shapes),
             "dtypes": dict(self.dtypes),
@@ -197,9 +195,7 @@ class ArraySanitizer:
                     "another ArraySanitizer is already installed"
                 )
             self._patches = [
-                _resolve(contract, contract.site)
-                for contract in ARRAY_CONTRACTS.values()
-                if contract.site is not None
+                _resolve(contract) for contract in ARRAY_CONTRACTS.values()
             ]
             self._swap(arm=True)
             _ACTIVE = self
@@ -250,8 +246,6 @@ class ArraySanitizer:
     ) -> None:
         stats = self.functions.setdefault(contract.name, _FunctionStats())
         stats.n_calls += 1
-        if contract.hot_path:
-            stats.n_hot_calls += 1
         bindings: Dict[str, int] = {}
         for param_name, spec in contract.params:
             if spec is None:

@@ -1,9 +1,10 @@
 """Control-flow graphs over Python AST, one per function (and module).
 
-chaos-flow's dataflow analyses (:mod:`repro.analysis.dataflow`) need a
-CFG, not a syntax tree: whether test-fold data reaches a ``fit`` call
-depends on *which paths* an assignment survives, not on where it sits in
-the source.  This builder produces intraprocedural CFGs with one
+The R601 race analysis (:mod:`repro.analysis.races`, run on the
+fixpoint engine in :mod:`repro.analysis.dataflow`) needs a CFG, not a
+syntax tree: whether a read of shared state and its write are split by
+an ``await`` depends on *which paths* connect them, not on where they
+sit in the source.  This builder produces intraprocedural CFGs with one
 convention worth knowing:
 
 **Compound statements appear in their header block only.**  An
@@ -14,18 +15,12 @@ separate blocks connected by edges.  Transfer functions must therefore
 treat e.g. ``ast.For`` as "bind the target from one element of the
 iterable" and never recurse into ``node.body``.
 
-Loops are first-class: every block records the set of enclosing loop
-header blocks (``BasicBlock.loops``), and ``CFG.loop_id_of`` maps a
-``For``/``While`` header statement to its loop id.  The leakage analysis
-uses this to tell "inside fold loop" apart from "after the fold loop".
-
 **Interleaving points** (chaos-race).  In cooperative concurrency the
 only places another coroutine can run are suspension points: ``await``
 expressions, ``yield``/``yield from``, the implicit awaits in ``async
 for``/``async with`` headers, and hand-offs to an executor.
 :func:`interleaving_points` enumerates them for one (header-only)
-statement, and :func:`cfg_interleaving_blocks` marks the blocks that
-contain one — the R6xx race rules key their "can someone else run in
+statement — the R6xx race rules key their "can someone else run in
 between?" question on exactly these points.
 """
 
@@ -47,9 +42,6 @@ class BasicBlock:
     stmts: List[Any] = field(default_factory=list)
     succs: List[int] = field(default_factory=list)
     preds: List[int] = field(default_factory=list)
-    loops: Tuple[int, ...] = ()
-    """Indices of the loop-header blocks enclosing this block,
-    outermost first.  The header block of a loop includes itself."""
 
 
 @dataclass
@@ -61,11 +53,6 @@ class CFG:
     entry: int
     exit: int
     lineno: int = 0
-    _loop_ids: dict = field(default_factory=dict, repr=False)
-
-    def loop_id_of(self, stmt: Any) -> Optional[int]:
-        """Loop id (header block index) of a For/While header statement."""
-        return self._loop_ids.get(id(stmt))
 
     def rpo(self) -> List[int]:
         """Reverse post-order of the blocks reachable from entry."""
@@ -107,14 +94,11 @@ class _Builder:
         self.blocks: List[BasicBlock] = []
         #: Stack of (loop header block, loop exit block) for break/continue.
         self.loop_stack: List[Tuple[int, int]] = []
-        self.loop_ids: dict = {}
         self.entry = self.new_block()
-        self.exit = self.new_block(loops=())
+        self.exit = self.new_block()
 
-    def new_block(self, loops: Optional[Tuple[int, ...]] = None) -> int:
-        if loops is None:
-            loops = tuple(header for header, _ in self.loop_stack)
-        block = BasicBlock(index=len(self.blocks), loops=loops)
+    def new_block(self) -> int:
+        block = BasicBlock(index=len(self.blocks))
         self.blocks.append(block)
         return block.index
 
@@ -198,11 +182,8 @@ class _Builder:
     def _build_loop(self, stmt: ast.stmt, current: int) -> int:
         header = self.new_block()
         self.add_edge(current, header)
-        # The header participates in its own loop (rebinds each round).
         exit_block = self.new_block()
         self.loop_stack.append((header, exit_block))
-        self.blocks[header].loops = tuple(h for h, _ in self.loop_stack)
-        self.loop_ids[id(stmt)] = header
         self.add_stmt(header, stmt)
         body_start = self.new_block()
         self.add_edge(header, body_start)
@@ -241,7 +222,7 @@ class _Builder:
             )
             if else_end is not None:
                 self.add_edge(else_end, join)
-        if not join_has_preds(self.blocks[join]):
+        if not self.blocks[join].preds:
             # Every path raised/returned; the finally body is still
             # built for visibility but control does not continue.
             if stmt.finalbody:
@@ -254,17 +235,14 @@ class _Builder:
     def _build_match(self, stmt: Any, current: int) -> Optional[int]:
         self.add_stmt(current, stmt)
         join = self.new_block()
-        any_flow = False
         for case in stmt.cases:
             case_start = self.new_block()
             self.add_edge(current, case_start)
             case_end = self.build_body(case.body, case_start)
             if case_end is not None:
                 self.add_edge(case_end, join)
-                any_flow = True
         # A match without a catch-all can fall through.
         self.add_edge(current, join)
-        del any_flow
         return join
 
     def finish(self, last: Optional[int]) -> CFG:
@@ -276,12 +254,7 @@ class _Builder:
             entry=self.entry,
             exit=self.exit,
             lineno=self.lineno,
-            _loop_ids=self.loop_ids,
         )
-
-
-def join_has_preds(block: BasicBlock) -> bool:
-    return bool(block.preds)
 
 
 def build_cfg(
@@ -383,19 +356,6 @@ def stmt_interleaves(
 ) -> bool:
     """Does evaluating this statement's header suspend the coroutine?"""
     return bool(interleaving_points(stmt, handoff_calls))
-
-
-def cfg_interleaving_blocks(
-    cfg: CFG, handoff_calls: Optional[frozenset] = None
-) -> set:
-    """Indices of blocks containing at least one interleaving point."""
-    return {
-        block.index
-        for block in cfg.blocks
-        if any(
-            stmt_interleaves(stmt, handoff_calls) for stmt in block.stmts
-        )
-    }
 
 
 def unit_has_interleaving(

@@ -1,25 +1,26 @@
 """Generic forward-dataflow fixpoint engine with a pluggable lattice.
 
 The engine is deliberately small and statement-agnostic: it knows
-nothing about Python AST, taint labels, or physical units.  An
-:class:`Analysis` supplies four operations (entry state, bottom, join,
-transfer); the engine iterates a worklist in reverse post-order until
-the block-entry states stop changing.
+nothing about Python AST or what a state means.  An :class:`Analysis`
+supplies four operations (entry state, bottom, join, transfer); the
+engine iterates a worklist in reverse post-order until the block-entry
+states stop changing.  The R601 phase analysis in
+:mod:`repro.analysis.races` is its client.
 
 Termination is the analysis's contract, not the engine's magic: with a
 finite-height lattice and monotone transfer functions the chain of
 states at each block is strictly ascending and must stabilize.  The
-property tests in ``tests/analysis/test_dataflow.py`` check both halves
-(random CFGs terminate; the shipped taint/unit transfers are monotone).
-A generous iteration cap turns a broken lattice into a loud
-:class:`FixpointDiverged` instead of a hung lint run.
+property tests in ``tests/analysis/test_dataflow.py`` check that random
+CFGs reach a sound fixpoint.  A generous iteration cap turns a broken
+lattice into a loud :class:`FixpointDiverged` instead of a hung lint
+run.
 """
 
 from __future__ import annotations
 
 import abc
 from dataclasses import dataclass
-from typing import Any, Dict, Generic, Iterable, List, TypeVar
+from typing import Any, Dict, Generic, List, TypeVar
 
 from repro.analysis.cfg import CFG
 
@@ -58,14 +59,6 @@ class DataflowResult(Generic[S]):
     block_in: Dict[int, S]
     block_out: Dict[int, S]
     iterations: int
-
-    def states_through(
-        self, analysis: Analysis, stmts: Iterable[Any], state: S
-    ) -> Iterable[tuple]:
-        """Yield ``(pre_state, stmt)`` pairs walking one block's body."""
-        for stmt in stmts:
-            yield state, stmt
-            state = analysis.transfer(state, stmt)
 
 
 def run_forward(
@@ -124,27 +117,3 @@ def run_forward(
         block_in=block_in, block_out=block_out, iterations=visits
     )
 
-
-# ----------------------------------------------------------------------
-# Environment lattice helpers shared by the taint and unit analyses
-# ----------------------------------------------------------------------
-
-V = TypeVar("V")
-
-
-def join_env(
-    left: Dict[str, V], right: Dict[str, V], join_value
-) -> Dict[str, V]:
-    """Pointwise join of variable environments; missing keys are bottom,
-    so a one-sided binding survives the merge unchanged."""
-    if not left:
-        return dict(right)
-    if not right:
-        return dict(left)
-    merged = dict(left)
-    for name, value in right.items():
-        if name in merged:
-            merged[name] = join_value(merged[name], value)
-        else:
-            merged[name] = value
-    return merged

@@ -140,7 +140,7 @@ def _attr_of_store_target(target: ast.expr) -> Optional[str]:
     """Shared attribute written by one assignment target, if any.
 
     ``x.attr = v`` writes ``attr``; ``x.attr[k] = v`` mutates ``attr``
-    (weak update, same as chaos-flow's store convention).
+    (a weak update of the container).
     """
     node = target
     while isinstance(node, ast.Subscript):

@@ -2,8 +2,8 @@
 --explain CODE`` and the rule tables in ``docs/static_analysis.md``.
 
 Every entry carries the rationale and a minimal bad/good pair.  The
-concurrency (R6xx) and numeric-array (N7xx) families get full entries
-here; older families keep their one-line description from
+concurrency (R6xx) and suppression-hygiene (W0xx) families get full
+entries here; the other families keep their one-line description from
 :data:`repro.analysis.findings.RULES` and point at the docs section
 that discusses them in prose.
 """
@@ -147,130 +147,6 @@ RULE_DOCS: Dict[str, RuleDoc] = {
             good=(
                 "pool.submit(work, key)       # plain data; the worker\n"
                 "                             # makes its own lock"
-            ),
-        ),
-        RuleDoc(
-            code="N701",
-            summary=RULES["N701"],
-            rationale=(
-                "Every kernel in the scoring path is contracted to "
-                "float64 (signatures.ARRAY_CONTRACTS). A float32 "
-                "operand crossing that boundary is silently upcast — "
-                "no error, same watts to three decimals — but the "
-                "rounding of every reduction changes, which breaks the "
-                "bit-for-bit online == offline replay gate. Keep "
-                "arrays float64 end to end; cast at ingest, not at the "
-                "kernel."
-            ),
-            bad=(
-                "row = np.asarray(values, dtype=np.float32)\n"
-                "power = matvec(design, row)   # silent upcast"
-            ),
-            good=(
-                "row = np.asarray(values, dtype=np.float64)\n"
-                "power = matvec(design, row)"
-            ),
-        ),
-        RuleDoc(
-            code="N702",
-            summary=RULES["N702"],
-            rationale=(
-                "Looping over the rows of a matrix and calling a "
-                "vectorized kernel per row computes the same values as "
-                "one whole-matrix call (the kernels are partition-"
-                "invariant by design) at tens to hundreds of times the "
-                "cost — per-call Python overhead, per-row dispatch, no "
-                "cache reuse. Call the kernel once on the full matrix."
-            ),
-            bad=(
-                "for row in design:\n"
-                "    out.append(matvec(bases, row))"
-            ),
-            good="out = matvec(design, coefficients)",
-        ),
-        RuleDoc(
-            code="N703",
-            summary=RULES["N703"],
-            rationale=(
-                "A hot-path function (its ARRAY_CONTRACTS entry sets "
-                "hot_path=True) runs per tick for every "
-                "connected machine. Fancy indexing, concatenate, "
-                "vstack, and ascontiguousarray each materialize a "
-                "fresh array, so a hidden copy there turns the hot "
-                "path into an allocator: per-tick garbage, memory "
-                "bandwidth spent on moving unchanged data, and jitter "
-                "from the collector. Restructure so the hot path works "
-                "in preallocated storage."
-            ),
-            bad=(
-                "def tick(buf, new):                   # hot_path=True\n"
-                "    buf = np.concatenate([buf, new])  # copy per tick"
-            ),
-            good=(
-                "def tick(ring, new):                  # hot_path=True\n"
-                "    ring[head] = new                  # write in place"
-            ),
-        ),
-        RuleDoc(
-            code="N704",
-            summary=RULES["N704"],
-            rationale=(
-                "Shape errors in numpy rarely fail loudly: a wrong "
-                "rank against a declared contract, two arguments "
-                "disagreeing on a shared symbolic dim like (n, k) vs "
-                "(k,), or a lucky broadcast can all produce a result "
-                "of plausible shape and silently wrong values. The "
-                "contract in signatures.ARRAY_CONTRACTS names each "
-                "dim; the analysis unifies them across a call's "
-                "arguments and flags any concrete conflict."
-            ),
-            bad=(
-                "matvec(design,            # (n, 4)\n"
-                "       np.zeros(3))       # k=4 vs k=3 conflict"
-            ),
-            good=(
-                "matvec(design,            # (n, 4)\n"
-                "       np.zeros(4))"
-            ),
-        ),
-        RuleDoc(
-            code="N705",
-            summary=RULES["N705"],
-            rationale=(
-                "np.zeros/empty/arange/... inside a hot-path function "
-                "(its ARRAY_CONTRACTS entry sets hot_path=True) "
-                "allocates a fresh buffer on every tick. Allocation "
-                "cost scales with connected machines, fragments the "
-                "heap, and is the single most common source of "
-                "latency jitter in per-tick scoring. Allocate once "
-                "outside the hot path and fill in place."
-            ),
-            bad=(
-                "def tick(rows):                    # hot_path=True\n"
-                "    scratch = np.zeros(len(rows))  # per-tick alloc"
-            ),
-            good=(
-                "scratch = np.zeros(capacity)       # once, at setup\n"
-                "def tick(rows):                    # hot_path=True\n"
-                "    scratch[:len(rows)] = 0.0"
-            ),
-        ),
-        RuleDoc(
-            code="N706",
-            summary=RULES["N706"],
-            rationale=(
-                "einsum/BLAS kernels assume C-contiguous operands; "
-                "handed a transposed or strided view they either "
-                "stride (slow, and in BLAS's case with a different "
-                "reduction order, breaking batch invariance) or "
-                "silently copy (a hidden allocation). A .T, a step "
-                "slice, or a transpose() upstream is enough. Make the "
-                "operand contiguous once, outside the kernel call."
-            ),
-            bad="power = matvec(design.T, weights)  # strided view",
-            good=(
-                "design_t = np.ascontiguousarray(design.T)  # once\n"
-                "power = matvec(design_t, weights)"
             ),
         ),
         RuleDoc(

@@ -1,23 +1,24 @@
-"""chaos-lint orchestration: run every layer, filter, render a report.
+"""chaos-lint orchestration: run the selected layers, filter, render a
+report.
 
 ``run_lint`` is what both the ``repro lint`` CLI subcommand and the
 tier-1 regression test call; keeping it pure (no process exit, no
 printing) makes the report easy to assert on.
 
-Five layers run by default:
+Three layers:
 
 * the semantic checker over the in-process catalogs/registry (C1xx,
   M2xx),
 * the single-pass AST lint (A3xx),
-* the chaos-flow dataflow analyses — taint/leakage (L4xx) and physical
-  units (U5xx) — over the same source roots,
-* the chaos-race concurrency pass (R6xx) over the same roots,
-* the chaos-shape numeric-array pass (N7xx) over the same roots.
+* the chaos-race concurrency pass (R6xx) over the same source roots.
 
-Each source file is read and parsed once per layer family; inline
-``# chaos: ignore[CODE] -- reason`` comments are honored for every
-file-based finding, and stale or justification-free suppressions come
-back as W001/W002 (see :mod:`repro.analysis.suppress`).
+The ``--select``/``--ignore`` filter chooses the layers: one runs only
+when the filter keeps at least one of its codes.  Each source file is
+read once; inline ``# chaos: ignore[CODE] -- reason`` comments are
+honored for every file-based finding, and stale or justification-free
+suppressions come back as W001/W002 (see
+:mod:`repro.analysis.suppress`).  A suppression naming a family whose
+layer did not run is not judged stale.
 """
 
 from __future__ import annotations
@@ -32,17 +33,14 @@ from repro.analysis.astlint import (
     iter_python_files,
     lint_source,
 )
-from repro.analysis.findings import RULES, Finding, filter_findings
-from repro.analysis.leakage import check_leakage_source
+from repro.analysis.findings import RULES, Finding, kept_codes
 from repro.analysis.races import check_races_source
 from repro.analysis.semantic import check_all_platforms
-from repro.analysis.shapes import check_shapes_source
 from repro.analysis.suppress import (
     Suppression,
     apply_suppressions,
     parse_suppressions,
 )
-from repro.analysis.units import check_units_source
 
 
 @dataclass
@@ -52,9 +50,7 @@ class LintReport:
     findings: list[Finding] = field(default_factory=list)
     n_files_scanned: int = 0
     n_platforms_checked: int = 0
-    n_files_flow_analyzed: int = 0
     n_files_race_analyzed: int = 0
-    n_files_shape_analyzed: int = 0
     n_suppressions: int = 0
 
     @property
@@ -79,9 +75,7 @@ class LintReport:
             f"chaos-lint: {len(self.findings)} finding(s) in "
             f"{self.n_files_scanned} file(s), "
             f"{self.n_platforms_checked} platform catalog(s), "
-            f"{self.n_files_flow_analyzed} file(s) dataflow-analyzed, "
-            f"{self.n_files_race_analyzed} file(s) race-analyzed, "
-            f"{self.n_files_shape_analyzed} file(s) shape-analyzed"
+            f"{self.n_files_race_analyzed} file(s) race-analyzed"
         )
         if self.n_suppressions:
             summary += f", {self.n_suppressions} suppression(s)"
@@ -100,9 +94,7 @@ class LintReport:
                 "clean": self.clean,
                 "n_files_scanned": self.n_files_scanned,
                 "n_platforms_checked": self.n_platforms_checked,
-                "n_files_flow_analyzed": self.n_files_flow_analyzed,
                 "n_files_race_analyzed": self.n_files_race_analyzed,
-                "n_files_shape_analyzed": self.n_files_shape_analyzed,
                 "n_suppressions": self.n_suppressions,
                 "counts_by_code": self.counts_by_code(),
                 "rules": RULES,
@@ -145,57 +137,65 @@ def _resolve_scan_paths(
     return scan
 
 
+#: Rule family -> the layer that produces its findings.  W0xx comes
+#: from the suppression bookkeeping of the file-based layers.
+_LAYER_OF_FAMILY = {"C": "semantic", "M": "semantic", "A": "ast", "R": "races"}
+
+
 def run_lint(
     root: str | Path | None = None,
     paths: Sequence[str | Path] | None = None,
     select: str | Iterable[str] | None = None,
     ignore: str | Iterable[str] | None = None,
-    semantic: bool = True,
-    ast_pass: bool = True,
-    dataflow: bool = True,
-    races: bool = True,
-    shapes: bool = True,
 ) -> LintReport:
     """Run chaos-lint and return the (filtered) report.
 
     ``root`` anchors the default scan roots (``src``, ``benchmarks``,
     ``examples``); pass explicit ``paths`` to lint arbitrary files or
     directories instead.  The semantic layer is path-independent: it
-    checks the in-process platform catalogs and model registry.
-    ``dataflow=False`` skips the chaos-flow pass, ``races=False`` the
-    chaos-race pass, ``shapes=False`` the chaos-shape pass.
+    checks the in-process platform catalogs and model registry.  A
+    layer runs only when ``select``/``ignore`` keep one of its codes.
     """
     from repro.platforms.specs import ALL_PLATFORMS
 
+    kept = kept_codes(select, ignore)
+    families = {code[0] for code in kept}
+    layers = {
+        _LAYER_OF_FAMILY[family]
+        for family in families
+        if family in _LAYER_OF_FAMILY
+    }
+    scan = _resolve_scan_paths(root, paths)
     report = LintReport()
     findings: list[Finding] = []
-    if semantic:
+    if "semantic" in layers:
         findings += check_all_platforms()
         report.n_platforms_checked = len(ALL_PLATFORMS)
 
     file_findings: list[Finding] = []
     suppressions: list[Suppression] = []
-    if ast_pass or dataflow or races or shapes:
-        scan = _resolve_scan_paths(root, paths)
+    if layers & {"ast", "races"} or "W" in families:
         for path in iter_python_files(scan):
             source = path.read_text()
             suppressions += parse_suppressions(source, path)
-            if ast_pass:
+            if "ast" in layers:
                 report.n_files_scanned += 1
                 file_findings += lint_source(source, path)
-            if dataflow:
-                report.n_files_flow_analyzed += 1
-                file_findings += check_leakage_source(source, path)
-                file_findings += check_units_source(source, path)
-            if races:
+            if "races" in layers:
                 report.n_files_race_analyzed += 1
                 file_findings += check_races_source(source, path)
-            if shapes:
-                report.n_files_shape_analyzed += 1
-                file_findings += check_shapes_source(source, path)
 
-    kept, hygiene = apply_suppressions(file_findings, suppressions)
+    skipped = tuple(
+        family
+        for family, layer in _LAYER_OF_FAMILY.items()
+        if layer not in layers
+    )
+    kept_findings, hygiene = apply_suppressions(
+        file_findings, suppressions, skipped=skipped
+    )
     report.n_suppressions = len(suppressions)
-    findings += kept + hygiene
-    report.findings = filter_findings(findings, select=select, ignore=ignore)
+    findings += kept_findings + hygiene
+    report.findings = [
+        finding for finding in findings if finding.code in kept
+    ]
     return report

@@ -1,274 +1,24 @@
-"""API contracts driving chaos-flow: unit signatures and taint roles.
+"""Declared tables for the kept analyses: concurrency roles and array
+contracts.
 
-This registry is the single place where ``repro``'s public entry points
-are annotated for the dataflow analyses:
+* Concurrency roles (chaos-race, R6xx) — which attributes are shared
+  mutable state, which calls block the event loop or hand work to an
+  executor, which constructors must not cross a fork/pickle boundary.
+  :mod:`repro.analysis.races` reads them.
+* :data:`ARRAY_CONTRACTS` — the declared shape, dtype and contiguity of
+  each numeric kernel boundary, and the ``site`` where the runtime
+  array sanitizer (:mod:`repro.analysis.arraysan`) wraps it while
+  armed.  The sanitizer is the table's only reader.
 
-* :data:`FUNCTION_UNITS` — physical-unit contracts (return unit and
-  per-parameter expected units) for ``repro.metrics``, ``repro.framework``
-  and friends.  ``units.py`` checks call arguments against these (U502)
-  and propagates return units through expressions.
-* :data:`NAME_UNIT_SUFFIXES` — the naming convention the tree already
-  follows (``power_w``, ``duration_s``, ``freq_ghz`` ...), used to seed
-  units for variables, attributes, and parameters.
-* Taint roles — which callables *produce* whole-dataset values
-  (:data:`FULL_SOURCE_CALLS`), which parameter names denote the whole
-  dataset (:data:`FULL_PARAM_NAMES`), and which calls are *sinks* that
-  must never consume test-fold or unsplit data
-  (:func:`sink_kind`): model fits, feature selection, preprocessing.
-
-To annotate a new API, add one entry here — both analyses pick it up;
-``docs/static_analysis.md`` ("Annotating new APIs") walks through it.
-
-Matching is by the *last dotted segment* of the call target, with
-leading underscores ignored, so ``repro.metrics.errors.dynamic_range``,
-``errors.dynamic_range`` and a bare ``dynamic_range`` all match the same
-contract.  That keeps the registry import-style-agnostic at the cost of
-treating same-named functions alike — acceptable for a lint.
+``docs/static_analysis.md`` ("Annotating new APIs") walks through
+adding an entry to either table.
 """
 
 from __future__ import annotations
 
 import ast
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Optional, Tuple, Union
-
-# ----------------------------------------------------------------------
-# Units
-# ----------------------------------------------------------------------
-
-WATTS = "watts"
-WATTS_SQ = "watts^2"
-JOULES = "joules"
-SECONDS = "seconds"
-HERTZ = "hertz"
-PERCENT = "percent"
-BYTES = "bytes"
-COUNT = "count"
-RATE = "count/sec"
-BYTES_RATE = "bytes/sec"
-CUMULATIVE = "cumulative-count"
-DIMENSIONLESS = "dimensionless"
-
-#: Name suffix -> unit, longest suffix checked first.  Applied to
-#: variable names, attribute names, and function parameters.
-NAME_UNIT_SUFFIXES: Dict[str, str] = {
-    "_watts": WATTS,
-    "_w": WATTS,
-    "power": WATTS,
-    "_joules": JOULES,
-    "_j": JOULES,
-    "_seconds": SECONDS,
-    "_sec": SECONDS,
-    "_s": SECONDS,
-    "_hz": HERTZ,
-    "_ghz": HERTZ,
-    "_mhz": HERTZ,
-    "_percent": PERCENT,
-    "_pct": PERCENT,
-    "_bytes": BYTES,
-    "_per_sec": RATE,
-    "_cumulative": CUMULATIVE,
-    "_cum_total": CUMULATIVE,
-}
-
-_SUFFIXES_BY_LENGTH = sorted(
-    NAME_UNIT_SUFFIXES, key=len, reverse=True
-)
-
-
-def unit_from_name(name: str) -> Optional[str]:
-    """Unit implied by an identifier's suffix, or None.
-
-    ``power_w`` -> watts, ``sample_period_s`` -> seconds,
-    ``mem_pages_per_sec`` -> count/sec (the longer suffix wins over
-    ``_sec``), ``design`` -> None.
-    """
-    lowered = name.lower()
-    for suffix in _SUFFIXES_BY_LENGTH:
-        if lowered == suffix.lstrip("_") or lowered.endswith(suffix):
-            return NAME_UNIT_SUFFIXES[suffix]
-    return None
-
-
-@dataclass(frozen=True)
-class UnitSignature:
-    """Unit contract of one callable."""
-
-    returns: Optional[str] = None
-    params: Dict[str, str] = field(default_factory=dict)
-    """Positional index (as str) or keyword name -> expected unit."""
-
-    def expected_for(
-        self, position: int, keyword: Optional[str]
-    ) -> Optional[str]:
-        if keyword is not None:
-            return self.params.get(keyword)
-        return self.params.get(str(position))
-
-
-def _sig(returns: Optional[str] = None, **params: str) -> UnitSignature:
-    return UnitSignature(
-        returns=returns,
-        params={str(k)[1:] if str(k).startswith("p") and str(k)[1:].isdigit()
-                else k: v for k, v in params.items()},
-    )
-
-
-#: Callable (last dotted segment) -> unit contract.  Positional
-#: parameters are keyed ``p0``, ``p1``, ... in ``_sig``.
-FUNCTION_UNITS: Dict[str, UnitSignature] = {
-    # repro.metrics.errors — everything takes power series in watts.
-    "mean_squared_error": _sig(WATTS_SQ, p0=WATTS, p1=WATTS),
-    "root_mean_squared_error": _sig(WATTS, p0=WATTS, p1=WATTS),
-    "percent_error": _sig(DIMENSIONLESS, p0=WATTS, p1=WATTS),
-    "mean_absolute_error": _sig(WATTS, p0=WATTS, p1=WATTS),
-    "median_absolute_error": _sig(WATTS, p0=WATTS, p1=WATTS),
-    "median_relative_error": _sig(DIMENSIONLESS, p0=WATTS, p1=WATTS),
-    "dynamic_range": _sig(WATTS, p0=WATTS, idle_power=WATTS),
-    "dynamic_range_error": _sig(
-        DIMENSIONLESS, p0=WATTS, p1=WATTS, idle_power=WATTS
-    ),
-    # repro.metrics.energy — the one deliberate watts/joules boundary.
-    "energy_joules": _sig(
-        JOULES, p0=WATTS, power_w=WATTS, sample_period_s=SECONDS
-    ),
-    "energy_relative_error": _sig(
-        DIMENSIONLESS, p0=WATTS, p1=WATTS, sample_period_s=SECONDS
-    ),
-    # repro.metrics.summary / repro.framework — report constructors
-    # consume measured/predicted power in watts.
-    "from_predictions": _sig(None, p0=WATTS, p1=WATTS),
-    "cluster_power": _sig(WATTS),
-    # repro.activity probes.
-    "idle_activity": _sig(None, n_seconds=SECONDS),
-    # repro.serving — the online scoring surface.  Predictions, meter
-    # readings and idle floors are watts; batch latencies are seconds.
-    "make_bundle": _sig(None, idle_power_w=WATTS),
-    "offline_reference": _sig(WATTS),
-    "max_deviation_w": _sig(WATTS),
-    "rolling_mean_w": _sig(WATTS, window_seconds=SECONDS),
-    "peak_w": _sig(WATTS),
-    "commit": _sig(WATTS, p0=WATTS, prediction_w=WATTS),
-    "record_batch": _sig(None, latency_s=SECONDS),
-    # repro.dse — campaign objectives.  Serving latency is seconds per
-    # scored sample; fit cost and MCDM scores are dimensionless proxies.
-    "modeled_serving_p99": _sig(SECONDS),
-    "modeled_fit_cost": _sig(DIMENSIONLESS),
-    "mcdm_scores": _sig(DIMENSIONLESS),
-    "crowding_distance": _sig(DIMENSIONLESS),
-}
-
-#: Calls that preserve the unit of their first argument (reductions,
-#: conversions, elementwise shims).  Matched like FUNCTION_UNITS.
-UNIT_PRESERVING_CALLS = frozenset({
-    "mean", "median", "sum", "min", "max", "abs", "absolute",
-    "asarray", "array", "ravel", "sort", "sorted", "copy", "float",
-    "quantile", "percentile", "average_windows",
-})
-
-#: Calls preserving the unit of the *receiver* (ndarray methods).
-UNIT_PRESERVING_METHODS = frozenset({
-    "mean", "sum", "min", "max", "ravel", "copy", "astype", "clip",
-})
-
-#: sqrt maps squared units back (watts^2 -> watts); anything else is
-#: unknown.
-SQRT_CALLS = frozenset({"sqrt"})
-
-#: BinOp unit algebra: (left, op, right) -> result.  Only listed
-#: combinations produce a concrete unit; everything else is unknown.
-MUL_TABLE: Dict[Tuple[str, str], str] = {
-    (WATTS, SECONDS): JOULES,
-    (SECONDS, WATTS): JOULES,
-    (WATTS, WATTS): WATTS_SQ,
-    (RATE, SECONDS): COUNT,
-    (SECONDS, RATE): COUNT,
-    (BYTES_RATE, SECONDS): BYTES,
-    (SECONDS, BYTES_RATE): BYTES,
-    (HERTZ, SECONDS): COUNT,
-    (SECONDS, HERTZ): COUNT,
-}
-
-DIV_TABLE: Dict[Tuple[str, str], str] = {
-    (JOULES, SECONDS): WATTS,
-    (JOULES, WATTS): SECONDS,
-    (COUNT, SECONDS): RATE,
-    (BYTES, SECONDS): BYTES_RATE,
-    (WATTS_SQ, WATTS): WATTS,
-}
-
-
-# ----------------------------------------------------------------------
-# Taint roles
-# ----------------------------------------------------------------------
-
-#: Call targets (last dotted segment) returning the *whole dataset*:
-#: every run of a workload, before any split.
-FULL_SOURCE_CALLS = frozenset({"runs", "runs_by_workload"})
-
-#: Parameter names seeded as whole-dataset at function entry.
-FULL_PARAM_NAMES = frozenset({"runs", "all_runs", "dataset"})
-
-#: Feature-selection entry points (repro.selection + Algorithm 1).
-SELECT_SINKS = frozenset({
-    "prune_correlated",
-    "eliminate_codependent",
-    "select_machine_features",
-    "pool_and_refine",
-    "run_algorithm1",
-    "select_features",
-    "select_general_features",
-})
-
-#: Preprocessing fits: anything learning statistics from data that must
-#: therefore only ever see the training split.  ``make_bundle`` belongs
-#: here because the serving drift envelope is per-feature quantiles
-#: learned from its ``training_design`` argument.
-PREPROCESS_SINKS = frozenset({
-    "standardize", "fit_scaler", "fit_transform", "scale_features",
-    "make_bundle",
-})
-
-#: Method names treated as model-fit sinks.
-FIT_METHODS = frozenset({"fit"})
-
-
-def call_target(func: ast.AST) -> Optional[str]:
-    """Last dotted segment of a call target, leading underscores
-    stripped: ``repro.metrics.errors._dre`` -> ``dre``."""
-    if isinstance(func, ast.Attribute):
-        tail = func.attr
-    elif isinstance(func, ast.Name):
-        tail = func.id
-    else:
-        return None
-    return tail.lstrip("_") or tail
-
-
-def is_method_call(func: ast.AST) -> bool:
-    return isinstance(func, ast.Attribute)
-
-
-def sink_kind(func: ast.AST) -> Optional[str]:
-    """'fit' | 'select' | 'preprocess' if the call is a leakage sink."""
-    target = call_target(func)
-    if target is None:
-        return None
-    if is_method_call(func) and func.attr.lstrip("_") in FIT_METHODS:
-        return "fit"
-    if target in SELECT_SINKS:
-        return "select"
-    if target in PREPROCESS_SINKS:
-        return "preprocess"
-    return None
-
-
-def unit_signature(func: ast.AST) -> Optional[UnitSignature]:
-    target = call_target(func)
-    if target is None:
-        return None
-    return FUNCTION_UNITS.get(target)
-
 
 # ----------------------------------------------------------------------
 # Concurrency roles (chaos-race, R6xx)
@@ -399,28 +149,8 @@ def is_lock_name(name: str) -> bool:
     return any(hint in lowered for hint in LOCK_NAME_HINTS)
 
 
-#: Identifier patterns marking test-split data by naming convention.
-def is_test_name(name: str) -> bool:
-    lowered = name.lower().strip("_")
-    return (
-        lowered == "test"
-        or lowered.startswith("test_")
-        or lowered.endswith("_test")
-        or "_test_" in lowered
-    )
-
-
-def is_fold_iterable_name(name: str) -> bool:
-    lowered = name.lower().strip("_")
-    return lowered == "folds" or lowered.endswith("_folds")
-
-
-#: Calls producing the fold list a cross-validation loop iterates.
-FOLD_SOURCE_CALLS = frozenset({"runwise_folds", "kfold", "make_folds"})
-
-
 # ----------------------------------------------------------------------
-# Array contracts (chaos-shape, N7xx)
+# Array contracts (the runtime array sanitizer)
 # ----------------------------------------------------------------------
 
 #: The numeric anchor of the whole stack: every kernel, feature row and
@@ -446,56 +176,31 @@ class ArraySpec:
     dtype: Optional[str] = KERNEL_DTYPE
     contiguous: Optional[bool] = None
 
-    @property
-    def rank(self) -> Optional[int]:
-        return None if self.shape is None else len(self.shape)
-
 
 @dataclass(frozen=True)
 class ArrayContract:
     """Array contract of one kernel/serving/metrics entry point.
 
-    ``params`` is ordered: positional argument ``i`` matches entry ``i``
-    (``self`` receivers never appear in AST call args, so methods and
-    functions line up the same way); keywords match by name.  A ``None``
-    spec means "no array expectation for this parameter".
-
-    ``hot_path`` marks the function as per-tick hot: N703/N705 forbid
-    copies and allocations in its body, and the runtime sanitizer
-    counts its calls as hot.  ``site`` (``"module:qualname"``) is where
-    the runtime sanitizer wraps the function while armed; a contract
-    without one is checked statically only.
+    ``site`` (``"module:qualname"``) is where the runtime sanitizer
+    wraps the function while armed.  ``params`` names the checked
+    parameters; the sanitizer binds each call's arguments by name, so
+    ``self`` never needs an entry.  A ``None`` spec means "no array
+    expectation for this parameter".
     """
 
     name: str
+    site: str
     params: Tuple[Tuple[str, Optional[ArraySpec]], ...] = ()
     returns: Optional[ArraySpec] = None
-    hot_path: bool = False
-    site: Optional[str] = None
-
-    def spec_for(
-        self, position: int, keyword: Optional[str]
-    ) -> Optional[ArraySpec]:
-        if keyword is not None:
-            for name, spec in self.params:
-                if name == keyword:
-                    return spec
-            return None
-        if 0 <= position < len(self.params):
-            return self.params[position][1]
-        return None
 
 
 def _vec(*dims: Dim, contiguous: Optional[bool] = None) -> ArraySpec:
     return ArraySpec(shape=tuple(dims), contiguous=contiguous)
 
 
-#: Callable (last dotted segment) -> array contract.  The registry is
-#: shared by the static N7xx checker (argument shapes/dtypes at call
-#: sites, parameter seeding inside the contracted function, N703/N705
-#: inside a ``hot_path`` function) and the runtime ArraySanitizer,
-#: which wraps every ``site`` while armed (observed-vs-declared
-#: cross-check during ``repro replay --sanitize``).
+#: Function name -> array contract.  The runtime ArraySanitizer wraps
+#: every ``site`` while armed and checks observed shapes, dtypes and
+#: contiguity against the declaration (``repro replay --sanitize``).
 ARRAY_CONTRACTS: Dict[str, ArrayContract] = {
     # regression.kernels — the batch-size-invariant predict kernel.
     "matvec": ArrayContract(
@@ -505,17 +210,9 @@ ARRAY_CONTRACTS: Dict[str, ArrayContract] = {
             ("vector", _vec("k")),
         ),
         returns=_vec("n"),
-        hot_path=True,
         site="repro.regression.kernels:matvec",
     ),
-    # Model predict surfaces: one design matrix in, one power series
-    # out.  ``predict`` is a method of every model family, so it has no
-    # one site and is checked statically only.
-    "predict": ArrayContract(
-        "predict",
-        params=(("design", _vec("n", "k")),),
-        returns=_vec("n"),
-    ),
+    # Model composition: one power series out per log.
     "predict_log": ArrayContract(
         "predict_log",
         returns=_vec("n"),
@@ -644,34 +341,3 @@ ARRAY_CONTRACTS: Dict[str, ArrayContract] = {
         site="repro.dse.factorial:main_effects",
     ),
 }
-
-
-def array_contract(func: ast.AST) -> Optional[ArrayContract]:
-    """Contract of a call target, matched like :func:`unit_signature`."""
-    target = call_target(func)
-    if target is None:
-        return None
-    return ARRAY_CONTRACTS.get(target)
-
-
-#: numpy allocators: every call returns a fresh buffer (N705 inside a
-#: hot path).  Disjoint from COPY_CALLS so one call maps to one rule.
-ALLOCATOR_CALLS = frozenset({
-    "zeros", "ones", "empty", "full", "zeros_like", "ones_like",
-    "empty_like", "full_like", "arange", "linspace", "eye", "tile",
-    "repeat", "meshgrid",
-})
-
-#: Operations that materialize a copy of an existing array — the
-#: "hidden" allocations N703 reports inside a hot path.
-COPY_CALLS = frozenset({
-    "concatenate", "vstack", "hstack", "stack", "column_stack",
-    "ascontiguousarray", "asfortranarray", "flatten",
-})
-
-#: Kernels whose operands feed einsum/BLAS inner loops: a known
-#: non-contiguous operand reaching one is N706 (the library strides or
-#: silently copies, both of which a hot path cannot afford).
-BLAS_KERNEL_CALLS = frozenset({
-    "matvec", "einsum", "dot", "matmul", "inner", "solve", "lstsq",
-})

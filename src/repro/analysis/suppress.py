@@ -7,7 +7,8 @@ honest:
 
 * ``W001`` — the comment suppressed nothing this run; either the
   defect was fixed (delete the comment) or the code moved (the ignore
-  is now a trap),
+  is now a trap).  It is judged only when every family the comment
+  names ran: ``--ignore R`` cannot prove an ``ignore[R601]`` stale,
 * ``W002`` — the comment has no ``-- reason`` tail; a suppression is
   an audit record and must say *why* the finding is acceptable.
 
@@ -98,12 +99,14 @@ def parse_suppressions(
 def apply_suppressions(
     findings: List[Finding],
     suppressions: List[Suppression],
+    skipped: Tuple[str, ...] = (),
 ) -> Tuple[List[Finding], List[Finding]]:
     """(kept findings, W001/W002 hygiene findings).
 
     Matching findings are dropped and their suppression is marked
-    used; every unused suppression yields W001 and every
-    justification-free one yields W002.
+    used; every unused suppression yields W001, unless one of its codes
+    starts with a ``skipped`` family (one whose layer did not run), and
+    every justification-free one yields W002.
     """
     by_path: Dict[str, List[Suppression]] = {}
     for suppression in suppressions:
@@ -124,7 +127,9 @@ def apply_suppressions(
     for suppression in suppressions:
         location = f"{suppression.path}:{suppression.line}"
         codes = ",".join(suppression.codes)
-        if not suppression.used:
+        if not suppression.used and not any(
+            code.startswith(skipped) for code in suppression.codes
+        ):
             hygiene.append(Finding(
                 "W001",
                 f"chaos: ignore[{codes}] suppresses nothing on this "

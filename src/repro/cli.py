@@ -124,31 +124,12 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     lint.add_argument(
         "--select", default=None, metavar="CODES",
-        help="comma-separated rule-code prefixes to keep (e.g. 'C1,A301')",
+        help="comma-separated rule-code prefixes to keep (e.g. 'C1,A301'); "
+        "a layer runs only when one of its codes is kept",
     )
     lint.add_argument(
         "--ignore", default=None, metavar="CODES",
         help="comma-separated rule-code prefixes to drop",
-    )
-    lint.add_argument(
-        "--no-semantic", action="store_true",
-        help="skip the catalog/pipeline semantic checker",
-    )
-    lint.add_argument(
-        "--no-ast", action="store_true",
-        help="skip the source AST pass",
-    )
-    lint.add_argument(
-        "--no-dataflow", action="store_true",
-        help="skip the chaos-flow dataflow analyses (L4xx/U5xx)",
-    )
-    lint.add_argument(
-        "--no-races", action="store_true",
-        help="skip the chaos-race concurrency analysis (R6xx)",
-    )
-    lint.add_argument(
-        "--no-shapes", action="store_true",
-        help="skip the chaos-shape numeric-array analysis (N7xx)",
     )
     lint.add_argument(
         "--explain", default=None, metavar="CODE",
@@ -242,9 +223,9 @@ def _build_parser() -> argparse.ArgumentParser:
         "--sanitize", action="store_true",
         help="arm the chaos-race runtime sanitizer (event-loop debug "
         "hooks, slow-callback + unawaited-coroutine capture) and the "
-        "chaos-shape array sanitizer (shape/dtype contract checks at "
-        "kernel boundaries); reports print on shutdown and a "
-        "violation exits non-zero",
+        "array sanitizer (shape/dtype contract checks at kernel "
+        "boundaries); reports print on shutdown and a violation exits "
+        "non-zero; inline shards only",
     )
 
     rep = sub.add_parser(
@@ -293,10 +274,10 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     rep.add_argument(
         "--sanitize", action="store_true",
-        help="arm the chaos-race runtime sanitizer and the chaos-shape "
-        "array sanitizer during the replay; reports land in "
+        help="arm the chaos-race runtime sanitizer and the array "
+        "sanitizer during the replay; reports land in "
         "telemetry['sanitizer'] / telemetry['array_sanitizer'] and "
-        "any violation exits non-zero",
+        "any violation exits non-zero; inline shards only",
     )
 
     publish = sub.add_parser(
@@ -798,12 +779,27 @@ def _cmd_sweep(args, out) -> int:
     return 0 if not sweep.incomplete_cells else 1
 
 
+def _refuse_unobserved_sanitize(args, out) -> bool:
+    """True (after printing why) when ``--sanitize`` meets process
+    shards, which no sanitizer observes."""
+    from repro.serving.replay import check_sanitize_backend
+
+    try:
+        check_sanitize_backend(args.sanitize, args.shard_backend)
+    except ValueError as error:
+        print(f"error: --sanitize: {error}", file=out)
+        return True
+    return False
+
+
 def _cmd_serve(args, out) -> int:
     import asyncio
     import contextlib
 
     from repro.serving import ModelRegistry, ShardedPowerServer
 
+    if _refuse_unobserved_sanitize(args, out):
+        return 2
     registry = ModelRegistry(args.registry)
     platforms = registry.platforms()
     if not platforms:
@@ -896,6 +892,8 @@ def _cmd_replay(args, out) -> int:
         replay,
     )
 
+    if _refuse_unobserved_sanitize(args, out):
+        return 2
     if args.fixture is not None:
         bundle, machines = load_replay_fixture(args.fixture)
     else:
@@ -1218,11 +1216,6 @@ def _cmd_lint(args, out) -> int:
         paths=args.paths or None,
         select=args.select,
         ignore=args.ignore,
-        semantic=not args.no_semantic,
-        ast_pass=not args.no_ast,
-        dataflow=not args.no_dataflow,
-        races=not args.no_races,
-        shapes=not args.no_shapes,
     )
     format = args.format or ("json" if args.as_json else "text")
     print(report.render(format, root=args.root), file=out)

@@ -33,8 +33,8 @@ def matvec(matrix: np.ndarray, vector: np.ndarray) -> np.ndarray:
     float64 ``(n, k)``, ``vector`` a float64 ``(k,)``; anything else
     either changes rounding (dtype) or forces einsum to stride/copy
     (layout), both of which break the partition-invariance guarantee
-    above.  The entry also marks it hot (N703/N705 forbid copies and
-    allocations here) and names it as a site the array sanitizer wraps
-    while armed.
+    above.  The entry also names it as a site the array sanitizer wraps
+    while armed (``repro replay --sanitize``), which checks exactly
+    that on every call.
     """
     return np.einsum("ij,j->i", matrix, vector)

@@ -186,6 +186,21 @@ async def _stream_machine(
             pass
 
 
+def check_sanitize_backend(sanitize: bool, shard_backend: str) -> None:
+    """Refuse to sanitize where nothing would be observed.
+
+    Both sanitizers arm in the router's process.  A ``process`` shard
+    scores in its own interpreter, where neither is armed, so a
+    sanitized run over process shards would report zero violations
+    over zero observed calls and pass.
+    """
+    if sanitize and shard_backend == "process":
+        raise ValueError(
+            "the sanitizers observe only inline shards: a process shard "
+            "scores in its own interpreter, where neither is armed"
+        )
+
+
 async def replay_async(
     machines: list,
     static_bundles: Optional[dict] = None,
@@ -201,12 +216,13 @@ async def replay_async(
 
     ``sanitize=True`` arms the chaos-race runtime sanitizer (event-loop
     debug mode, slow-callback capture, unawaited-coroutine promotion,
-    stall heartbeat) and the chaos-shape array sanitizer (observed
+    stall heartbeat) and the array sanitizer (observed
     shapes/dtypes/contiguity at every contracted kernel boundary) for
     the duration of the replay, attaching their reports under
     ``telemetry["sanitizer"]`` and ``telemetry["array_sanitizer"]``.
     Scoring is unaffected — the CI golden replay asserts bit-identity
-    with both sanitizers armed.
+    with both sanitizers armed.  Sanitizing over ``process`` shards
+    raises :class:`ValueError`: the workers would go unobserved.
 
     ``shards`` and ``shard_backend`` set the server's topology.
     Scoring is bit-identical at any shard count because the predict
@@ -217,6 +233,7 @@ async def replay_async(
         raise ValueError("need at least one machine to replay")
     if speed <= 0:
         raise ValueError("speed must be positive")
+    check_sanitize_backend(sanitize, shard_backend)
     config = session_config or SessionConfig()
     if window >= config.queue_limit:
         raise ValueError(

@@ -200,10 +200,11 @@ class ShardedPowerServer:
     async def start(self) -> None:
         """Spin up the shard fleet, bind, and start ticking."""
         config = self._worker_config()
-        self._hosts = [
-            make_host(self.shard_backend, config)
-            for _ in range(self.n_shards)
-        ]
+        # One host at a time into ``self._hosts``: when a later host
+        # fails to build, stop() still closes every one already built.
+        self._hosts = []
+        for _ in range(self.n_shards):
+            self._hosts.append(make_host(self.shard_backend, config))
         # Created here (inside the running loop), not in __init__, so
         # every lock binds to the loop that will actually use it.
         self._host_locks = [asyncio.Lock() for _ in self._hosts]

@@ -1,4 +1,4 @@
-"""Runtime array-contract sanitizer (chaos-shape's dynamic half).
+"""Runtime array-contract sanitizer.
 
 The sanitizer arms from the contract table: each ``ArrayContract.site``
 is wrapped while armed and restored on disarm.  Observation tests call
@@ -42,8 +42,6 @@ def _sites():
     """Contract name -> (owner, function) at its site, looked up here."""
     sites = {}
     for name, contract in ARRAY_CONTRACTS.items():
-        if contract.site is None:
-            continue
         module_name, _, qualname = contract.site.partition(":")
         owner = importlib.import_module(module_name)
         *path, attr = qualname.split(".")
@@ -79,7 +77,6 @@ class TestSites:
     def test_arm_and_disarm_every_site(self):
         sites = _sites()
         assert len(sites) == 22
-        assert "predict" not in sites  # static-only: no one site
         originals = {name: func for name, (_, func) in sites.items()}
         bindings = _bindings(sites)
         # The defining module, ``from``-importing modules and classes.
@@ -155,18 +152,6 @@ class TestSites:
             assert late.matvec is not original
         assert late.matvec is original
 
-    def test_hot_calls_follow_the_contract(self, monkeypatch):
-        monkeypatch.setitem(
-            ARRAY_CONTRACTS,
-            "matvec",
-            replace(ARRAY_CONTRACTS["matvec"], hot_path=False),
-        )
-        with ArraySanitizer() as sanitizer:
-            kernels.matvec(np.zeros((2, 3)), np.zeros(3))
-        stats = sanitizer.functions["matvec"]
-        assert stats.n_calls == 1
-        assert stats.n_hot_calls == 0
-
     def test_disarmed_calls_pass_through(self):
         matrix = np.arange(6, dtype=np.float64).reshape(2, 3)
         vector = np.ones(3)
@@ -216,7 +201,6 @@ class TestObservation:
         assert sanitizer.ok
         stats = sanitizer.functions["matvec"]
         assert stats.n_calls == 1
-        assert stats.n_hot_calls == 1
         assert stats.shapes["matrix:(4, 3)"] == 1
         assert stats.shapes["vector:(3,)"] == 1
         assert stats.dtypes["float64"] == 3  # two args + return
@@ -283,4 +267,3 @@ class TestReport:
         assert report["ok"] is True
         assert report["n_violations"] == 0
         assert report["functions"]["matvec"]["calls"] == 1
-        assert report["functions"]["matvec"]["hot_calls"] == 1

@@ -1,8 +1,8 @@
-"""Structural tests for the chaos-flow CFG builder.
+"""Structural tests for the CFG builder under the R601 race analysis.
 
-The dataflow analyses rely on a handful of invariants the builder must
+The fixpoint engine relies on a handful of invariants the builder must
 uphold: the header-only convention (compound statements appear once, in
-their header block), loop membership bookkeeping, terminator handling,
+their header block), loop back and exit edges, terminator handling,
 and a reverse post-order that starts at the entry block.
 """
 
@@ -19,6 +19,14 @@ def _cfg(source, name="f"):
 
 def _stmt_types(cfg):
     return [type(stmt).__name__ for _, stmt in cfg.statements()]
+
+
+def _loop_header(cfg):
+    """Index of the block holding the (only) ``for`` header."""
+    return next(
+        block.index for block, s in cfg.statements()
+        if isinstance(s, ast.For)
+    )
 
 
 class TestStraightLine:
@@ -81,50 +89,17 @@ class TestBranches:
 class TestLoops:
     def test_loop_header_has_back_edge_and_exit_edge(self):
         cfg = _cfg("def f(xs):\n    for x in xs:\n        y = x\n")
-        for_stmt = next(
-            s for _, s in cfg.statements() if isinstance(s, ast.For)
-        )
-        header = cfg.loop_id_of(for_stmt)
-        assert header is not None
-        body = [
-            s for s in cfg.blocks[header].succs
-            if header in cfg.blocks[s].loops
-        ]
-        assert body, "loop header must reach its body"
-        # Body threads back to the header.
-        assert header in cfg.blocks[body[0]].succs
-
-    def test_loop_membership_excludes_code_after_loop(self):
-        cfg = _cfg(
-            "def f(xs):\n"
-            "    for x in xs:\n"
-            "        y = x\n"
-            "    z = 1\n"
-        )
-        for_stmt = next(
-            s for _, s in cfg.statements() if isinstance(s, ast.For)
-        )
-        header = cfg.loop_id_of(for_stmt)
-        after = next(
-            block for block, s in cfg.statements()
-            if isinstance(s, ast.Assign)
-            and isinstance(s.targets[0], ast.Name)
-            and s.targets[0].id == "z"
-        )
-        assert header not in after.loops
-
-    def test_nested_loops_record_both_headers(self):
-        cfg = _cfg(
-            "def f(xs):\n"
-            "    for x in xs:\n"
-            "        for y in x:\n"
-            "            z = y\n"
-        )
-        inner_block = next(
+        header = _loop_header(cfg)
+        body = next(
             block for block, s in cfg.statements()
             if isinstance(s, ast.Assign)
         )
-        assert len(inner_block.loops) == 2
+        # The header reaches its body, the body threads back to the
+        # header, and the header's other edge leaves the loop.
+        assert body.index in cfg.blocks[header].succs
+        assert header in body.succs
+        (loop_exit,) = set(cfg.blocks[header].succs) - {body.index}
+        assert cfg.blocks[loop_exit].succs == [cfg.exit]
 
     def test_break_jumps_to_loop_exit(self):
         cfg = _cfg(
@@ -138,10 +113,11 @@ class TestLoops:
             if isinstance(s, ast.Break)
         )
         (target,) = break_block.succs
-        for_stmt = next(
-            s for _, s in cfg.statements() if isinstance(s, ast.For)
-        )
-        assert cfg.loop_id_of(for_stmt) not in cfg.blocks[target].loops
+        header = _loop_header(cfg)
+        # The loop's exit block: the header's edge out of the loop.
+        assert target != header
+        assert target in cfg.blocks[header].succs
+        assert target != break_block.index
 
     def test_continue_jumps_to_loop_header(self):
         cfg = _cfg(
@@ -153,10 +129,7 @@ class TestLoops:
             block for block, s in cfg.statements()
             if isinstance(s, ast.Continue)
         )
-        for_stmt = next(
-            s for _, s in cfg.statements() if isinstance(s, ast.For)
-        )
-        assert continue_block.succs == [cfg.loop_id_of(for_stmt)]
+        assert continue_block.succs == [_loop_header(cfg)]
 
 
 class TestTry:
@@ -207,14 +180,24 @@ class TestRpo:
         assert len(order) == len(set(order))
 
     def test_rpo_visits_predecessors_first_outside_loops(self):
-        cfg = _cfg("def f():\n    a = 1\n    b = 2\n    return a + b\n")
+        cfg = _cfg(
+            "def f(c, xs):\n"
+            "    if c:\n"
+            "        a = 1\n"
+            "    else:\n"
+            "        a = 2\n"
+            "    for x in xs:\n"
+            "        a = x\n"
+            "    return a\n"
+        )
         order = cfg.rpo()
         rank = {index: position for position, index in enumerate(order)}
+        header = _loop_header(cfg)
         for block in cfg.blocks:
             for succ in block.succs:
                 if succ in rank and rank[succ] < rank[block.index]:
-                    # Only loop back edges may go "up" the order.
-                    assert cfg.blocks[succ].loops
+                    # Only the loop's back edge may go "up" the order.
+                    assert succ == header
 
     def test_unreachable_code_excluded_from_rpo(self):
         cfg = _cfg("def f():\n    return 1\n    x = 2\n")

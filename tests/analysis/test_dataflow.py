@@ -1,13 +1,10 @@
-"""Property tests for the chaos-flow fixpoint engine.
+"""Property tests for the fixpoint engine under the R601 race analysis.
 
-Two halves of the termination contract (see ``dataflow.py``):
-
-* the engine terminates and produces a *sound* fixpoint on arbitrary
-  CFG shapes, given a finite-height lattice — checked on randomly
-  generated graphs with a powerset lattice;
-* the shipped taint and unit transfer functions are monotone, so the
-  per-block chains those analyses produce can only ascend — checked on
-  random environments pushed through real parsed statements.
+The termination contract (see ``dataflow.py``): the engine terminates
+and produces a *sound* fixpoint on arbitrary CFG shapes, given a
+finite-height lattice — checked on randomly generated graphs with a
+powerset lattice — and the R601 phase analysis reaches its fixpoint on
+real parsed coroutines.
 
 The engine itself is statement-agnostic, so the random CFGs carry plain
 integers as "statements".
@@ -20,14 +17,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.analysis.cfg import CFG, BasicBlock, iter_function_units
-from repro.analysis.dataflow import (
-    Analysis,
-    FixpointDiverged,
-    join_env,
-    run_forward,
-)
-from repro.analysis.leakage import FULL, TEST, TEST_INDEX, TaintAnalysis
-from repro.analysis.units import TOP, UnitAnalysis
+from repro.analysis.dataflow import Analysis, FixpointDiverged, run_forward
+from repro.analysis.races import _RmwAnalysis
 
 
 # ----------------------------------------------------------------------
@@ -146,168 +137,31 @@ def test_divergence_raises_instead_of_hanging():
         run_forward(cfg, _Unbounded(), max_iterations=64)
 
 
-# ----------------------------------------------------------------------
-# Monotonicity of the shipped transfer functions
-# ----------------------------------------------------------------------
-
-_TAINT_LABELS = [TEST, TEST_INDEX, FULL, ("fold", 2)]
-_UNIT_VALUES = ["watts", "joules", "seconds", "count/sec", TOP]
-_VAR_NAMES = ["a", "b", "design", "power_w", "test_runs", "runs"]
-
-# Statement pool exercising every transfer arm: assignments, augmented
-# assignment, subscripts, calls, mutation, loop headers.
-_STMT_POOL = [
-    ast.parse(snippet).body[0]
-    for snippet in [
-        "a = b",
-        "a = b[0]",
-        "a = test_runs",
-        "a = runs",
-        "a, b = b, a",
-        "a += b",
-        "a = pool_features(b)",
-        "a.append(b)",
-        "a = [x for x in b]",
-        "power_w = a + b",
-        "a = b.train_runs",
-        "a = b.test_runs",
-        "del a",
-        "a = energy_joules(b, sample_period_s=power_w)",
-    ]
-]
-
-
-def _unit_for(analysis_cls):
-    tree = ast.parse("def f(a, b):\n    pass\n")
-    unit = [u for u in iter_function_units(tree) if u.node is not None][0]
-    return analysis_cls(unit)
-
-
-def _taint_leq(left, right):
-    return all(
-        value <= right.get(name, frozenset())
-        for name, value in left.items()
-    )
-
-
-@st.composite
-def taint_env_pairs(draw):
-    """(lower, upper) environment pairs with lower <= upper pointwise."""
-    lower = {}
-    upper = {}
-    for name in draw(st.lists(st.sampled_from(_VAR_NAMES), unique=True)):
-        small = frozenset(
-            draw(st.lists(st.sampled_from(_TAINT_LABELS), max_size=3))
-        )
-        extra = frozenset(
-            draw(st.lists(st.sampled_from(_TAINT_LABELS), max_size=2))
-        )
-        lower[name] = small
-        upper[name] = small | extra
-    return lower, upper
-
-
-@settings(max_examples=150, deadline=None)
-@given(pair=taint_env_pairs(), stmt_index=st.integers(0, len(_STMT_POOL) - 1))
-def test_taint_transfer_is_monotone(pair, stmt_index):
-    lower, upper = pair
-    analysis = _unit_for(TaintAnalysis)
-    stmt = _STMT_POOL[stmt_index]
-    out_lower = analysis.transfer(lower, stmt)
-    out_upper = analysis.transfer(upper, stmt)
-    assert _taint_leq(out_lower, out_upper)
-
-
-@settings(max_examples=150, deadline=None)
-@given(pair=taint_env_pairs())
-def test_taint_join_is_lub(pair):
-    lower, upper = pair
-    analysis = _unit_for(TaintAnalysis)
-    joined = analysis.join(lower, upper)
-    assert _taint_leq(lower, joined)
-    assert _taint_leq(upper, joined)
-    # Idempotent and commutative (order-insensitive fixpoints need both).
-    assert analysis.join(joined, joined) == joined
-    assert analysis.join(upper, lower) == joined
-
-
-def _unit_leq(left, right):
-    """Flat lattice order: bottom (absent) <= concrete <= TOP."""
-    return all(
-        name in right and (value == right[name] or right[name] == TOP)
-        for name, value in left.items()
-    )
-
-
-@st.composite
-def unit_env_pairs(draw):
-    """(lower, upper) with identical key sets, upper raised toward TOP.
-
-    The unit environment reads *unbound* names through their suffix
-    convention rather than as bottom, so monotonicity is stated over
-    same-keyed environments — exactly what the fixpoint produces, since
-    ``join_env`` only ever grows the key set along one ascending chain.
-    """
-    lower = {}
-    upper = {}
-    for name in draw(st.lists(st.sampled_from(_VAR_NAMES), unique=True)):
-        value = draw(st.sampled_from(_UNIT_VALUES))
-        lower[name] = value
-        upper[name] = value if draw(st.booleans()) else TOP
-    return lower, upper
-
-
-@settings(max_examples=150, deadline=None)
-@given(pair=unit_env_pairs(), stmt_index=st.integers(0, len(_STMT_POOL) - 1))
-def test_unit_transfer_is_monotone(pair, stmt_index):
-    lower, upper = pair
-    analysis = _unit_for(UnitAnalysis)
-    stmt = _STMT_POOL[stmt_index]
-    out_lower = analysis.transfer(lower, stmt)
-    out_upper = analysis.transfer(upper, stmt)
-    assert _unit_leq(out_lower, out_upper)
-
-
-@settings(max_examples=100, deadline=None)
-@given(pair=unit_env_pairs())
-def test_unit_join_is_lub(pair):
-    lower, upper = pair
-    analysis = _unit_for(UnitAnalysis)
-    joined = analysis.join(lower, upper)
-    assert _unit_leq(lower, joined)
-    assert _unit_leq(upper, joined)
-    assert analysis.join(upper, lower) == joined
-
-
-def test_join_env_keeps_one_sided_bindings():
-    merged = join_env({"a": 1}, {"b": 2}, max)
-    assert merged == {"a": 1, "b": 2}
-    assert join_env({}, {"a": 3}, max) == {"a": 3}
-    assert join_env({"a": 1}, {"a": 4}, max) == {"a": 4}
-
-
 @settings(max_examples=40, deadline=None)
 @given(source=st.sampled_from([
-    "def f(runs):\n"
-    "    for fold in runwise_folds(runs):\n"
-    "        train = fold.train_runs\n"
-    "    return train\n",
-    "def f(xs):\n"
-    "    while xs:\n"
-    "        xs = xs[1:]\n"
-    "    return xs\n",
-    "def f(c, runs):\n"
-    "    if c:\n"
-    "        data = runs\n"
-    "    else:\n"
-    "        data = []\n"
-    "    return data\n",
+    "async def f(self):\n"
+    "    while self._pending:\n"
+    "        await self._tick_task\n"
+    "        self._pending.pop()\n"
+    "    return self._clients\n",
+    "async def f(self, xs):\n"
+    "    for x in xs:\n"
+    "        if self._clients:\n"
+    "            await x\n"
+    "        else:\n"
+    "            self._clients = {}\n",
+    "async def f(self):\n"
+    "    try:\n"
+    "        task = self._tick_task\n"
+    "        await task\n"
+    "    except RuntimeError:\n"
+    "        self._tick_task = None\n"
+    "    return task\n",
 ]))
 def test_real_functions_reach_fixpoint(source):
     tree = ast.parse(source)
     for unit in iter_function_units(tree):
         if unit.node is None:
             continue
-        for cls in (TaintAnalysis, UnitAnalysis):
-            result = run_forward(unit.cfg, cls(unit))
-            assert result.iterations <= 256 * len(unit.cfg.blocks) + 1024
+        result = run_forward(unit.cfg, _RmwAnalysis(set()))
+        assert result.iterations <= 256 * len(unit.cfg.blocks) + 1024

@@ -3,23 +3,18 @@ are detected end-to-end through the ``repro lint`` CLI.
 
 The whole tree is linted once per session (``tree_lint_report`` in
 ``conftest.py``); every family gate filters that one report.  The
-skip-a-pass checks run on a one-file tree seeded with a fault of the
-family they skip, so each shows the pass was skipped, not merely clean.
+filter checks run on a one-file tree seeded with a fault of the family
+they filter out, so each shows the pass was skipped, not merely clean.
 """
 
 import io
 import json
 
+import pytest
+
 from repro.analysis.findings import filter_findings
 from repro.analysis.runner import run_lint
 from repro.cli import main
-
-LEAKAGE_FAULT = (
-    "def evaluate(runs):\n"
-    "    for fold in runwise_folds(runs):\n"
-    "        test = [runs[i] for i in fold.test_runs]\n"
-    "        model.fit(test)\n"
-)
 
 RACE_FAULT = (
     "class Server:\n"
@@ -27,13 +22,6 @@ RACE_FAULT = (
     "        if self._tick_task is not None:\n"
     "            await self._tick_task\n"
     "            self._tick_task = None\n"
-)
-
-SHAPE_FAULT = (
-    "import numpy as np\n"
-    "def score(design):\n"
-    "    row = np.asarray([1.0], dtype=np.float32)\n"
-    "    return matvec(design, row)\n"
 )
 
 
@@ -58,9 +46,7 @@ class TestCleanTree:
         assert report.exit_code == 0
         assert report.n_platforms_checked == 6
         assert report.n_files_scanned > 100
-        assert report.n_files_flow_analyzed > 100
         assert report.n_files_race_analyzed > 100
-        assert report.n_files_shape_analyzed > 100
 
     def test_cli_exits_zero_on_clean_tree(self, tmp_path):
         root = _one_file_tree(tmp_path, "x = 1\n")
@@ -68,44 +54,32 @@ class TestCleanTree:
         assert code == 0
         assert "0 finding(s)" in text
 
-    def test_dataflow_families_clean_on_tree(self, tree_lint_report):
-        # The acceptance gate for chaos-flow: no leakage or unit
-        # findings anywhere in src/benchmarks/examples.
-        findings = filter_findings(tree_lint_report.findings, select="L,U")
-        assert findings == [], [finding.render() for finding in findings]
-
-    def test_no_dataflow_skips_flow_pass(self, tmp_path):
-        root = _one_file_tree(tmp_path, LEAKAGE_FAULT)
-        assert run_lint(root=root).counts_by_code() == {"L401": 1}
-        report = run_lint(root=root, dataflow=False)
-        assert report.n_files_flow_analyzed == 0
-        assert report.exit_code == 0
-
     def test_race_family_clean_on_tree(self, tree_lint_report):
         # The acceptance gate for chaos-race: no concurrency findings
         # and zero stale suppressions anywhere in the tree.
         findings = filter_findings(tree_lint_report.findings, select="R,W")
         assert findings == [], [finding.render() for finding in findings]
 
-    def test_no_races_skips_race_pass(self, tmp_path):
+    def test_ignore_r_skips_race_pass(self, tmp_path):
         root = _one_file_tree(tmp_path, RACE_FAULT)
         assert run_lint(root=root).counts_by_code() == {"R601": 1}
-        report = run_lint(root=root, races=False)
+        report = run_lint(root=root, ignore="R")
         assert report.n_files_race_analyzed == 0
+        assert report.n_files_scanned == 1
         assert report.exit_code == 0
 
-    def test_shape_family_clean_on_tree(self, tree_lint_report):
-        # The acceptance gate for chaos-shape: no numeric-array
-        # findings anywhere in the tree, with zero suppressions.
-        findings = filter_findings(tree_lint_report.findings, select="N")
-        assert findings == [], [finding.render() for finding in findings]
-
-    def test_no_shapes_skips_shape_pass(self, tmp_path):
-        root = _one_file_tree(tmp_path, SHAPE_FAULT)
-        assert run_lint(root=root).counts_by_code() == {"N701": 1}
-        report = run_lint(root=root, shapes=False)
-        assert report.n_files_shape_analyzed == 0
+    def test_select_runs_only_the_layers_it_keeps(self, tmp_path):
+        root = _one_file_tree(tmp_path, RACE_FAULT)
+        report = run_lint(root=root, select="R,W")
+        assert report.counts_by_code() == {"R601": 1}
+        assert report.n_files_race_analyzed == 1
+        assert report.n_files_scanned == 0
+        assert report.n_platforms_checked == 0
+        report = run_lint(root=root, select="C")
         assert report.exit_code == 0
+        assert report.n_platforms_checked == 6
+        assert report.n_files_scanned == 0
+        assert report.n_files_race_analyzed == 0
 
 
 class TestSeededFaults:
@@ -118,7 +92,7 @@ class TestSeededFaults:
             "import numpy as np\n"
             "rng = np.random.default_rng()\n"
         )
-        code, text = _run_cli(["lint", "--no-semantic", str(bad)])
+        code, text = _run_cli(["lint", "--ignore", "C,M", str(bad)])
         assert code == 1
         assert "A301" in text
 
@@ -130,7 +104,7 @@ class TestSeededFaults:
             "np.random.seed(0)\n"
             "done = progress == 1.0\n"
         )
-        code, text = _run_cli(["lint", "--no-semantic", str(bad)])
+        code, text = _run_cli(["lint", "--ignore", "C,M", str(bad)])
         assert code == 1
         assert "A302" in text and "A303" in text
 
@@ -143,18 +117,18 @@ class TestSeededFaults:
             "done = progress == 1.0\n"
         )
         code, text = _run_cli([
-            "lint", "--no-semantic", "--select", "A302", str(bad)
+            "lint", "--select", "A302", str(bad)
         ])
         assert code == 1
         assert "A302" in text and "A303" not in text
         code, _ = _run_cli([
-            "lint", "--no-semantic", "--ignore", "A3", str(bad)
+            "lint", "--ignore", "C,M,A3", str(bad)
         ])
         assert code == 0
 
     def test_nonexistent_path_fails_instead_of_passing_green(self):
         code, text = _run_cli([
-            "lint", "--no-semantic", "/nonexistent/lint/target"
+            "lint", "--ignore", "C,M", "/nonexistent/lint/target"
         ])
         assert code == 1
         assert "do not exist" in text
@@ -164,7 +138,7 @@ class TestSeededFaults:
         bad.parent.mkdir()
         bad.write_text("from numpy import *\n")
         code, text = _run_cli([
-            "lint", "--no-semantic", "--json", str(bad)
+            "lint", "--ignore", "C,M", "--json", str(bad)
         ])
         assert code == 1
         payload = json.loads(text)
@@ -172,49 +146,6 @@ class TestSeededFaults:
         assert payload["counts_by_code"] == {"A305": 1}
         assert payload["findings"][0]["code"] == "A305"
         assert "A305" in payload["rules"]
-
-    def test_seeded_leakage_fault_through_cli(self, tmp_path):
-        bad = tmp_path / "fault.py"
-        bad.write_text(LEAKAGE_FAULT)
-        code, text = _run_cli(["lint", "--no-semantic", str(bad)])
-        assert code == 1
-        assert "L401" in text
-
-    def test_seeded_unit_fault_through_cli(self, tmp_path):
-        bad = tmp_path / "fault.py"
-        bad.write_text(
-            "def energy(power_w, energy_j):\n"
-            "    return power_w + energy_j\n"
-        )
-        code, text = _run_cli(["lint", "--no-semantic", str(bad)])
-        assert code == 1
-        assert "U501" in text
-
-    def test_no_dataflow_flag_suppresses_flow_findings(self, tmp_path):
-        bad = tmp_path / "fault.py"
-        bad.write_text(
-            "def energy(power_w, energy_j):\n"
-            "    return power_w + energy_j\n"
-        )
-        code, _ = _run_cli([
-            "lint", "--no-semantic", "--no-dataflow", str(bad)
-        ])
-        assert code == 0
-
-    def test_seeded_shape_fault_through_cli(self, tmp_path):
-        bad = tmp_path / "fault.py"
-        bad.write_text(SHAPE_FAULT)
-        code, text = _run_cli(["lint", "--no-semantic", str(bad)])
-        assert code == 1
-        assert "N701" in text
-
-    def test_no_shapes_flag_suppresses_shape_findings(self, tmp_path):
-        bad = tmp_path / "fault.py"
-        bad.write_text(SHAPE_FAULT)
-        code, _ = _run_cli([
-            "lint", "--no-semantic", "--no-shapes", str(bad)
-        ])
-        assert code == 0
 
 
 class TestRuleSelection:
@@ -231,7 +162,7 @@ class TestRuleSelection:
         clean = tmp_path / "ok.py"
         clean.write_text("x = 1\n")
         code, text = _run_cli([
-            "lint", "--no-semantic", "--select", "Z", str(clean)
+            "lint", "--select", "Z", str(clean)
         ])
         assert code == 1
         assert "unknown rule prefix" in text
@@ -241,17 +172,28 @@ class TestRuleSelection:
         clean = tmp_path / "ok.py"
         clean.write_text("x = 1\n")
         code, text = _run_cli([
-            "lint", "--no-semantic", "--ignore", "Q9", str(clean)
+            "lint", "--ignore", "Q9", str(clean)
         ])
         assert code == 1
         assert "unknown rule prefix" in text
+
+    @pytest.mark.parametrize("retired", ["L", "U", "N", "L401", "N701"])
+    def test_retired_family_is_an_unknown_prefix(self, tmp_path, retired):
+        clean = tmp_path / "ok.py"
+        clean.write_text("x = 1\n")
+        code, text = _run_cli(["lint", "--select", retired, str(clean)])
+        assert code == 1
+        assert "unknown rule prefix" in text
+        code, text = _run_cli(["lint", "--explain", retired])
+        assert code == 2
+        assert "unknown rule code" in text
 
     def test_known_full_code_still_selects(self, tmp_path):
         bad = tmp_path / "examples" / "fault.py"
         bad.parent.mkdir()
         bad.write_text("import numpy as np\nnp.random.seed(0)\n")
         code, text = _run_cli([
-            "lint", "--no-semantic", "--select", "A302", str(bad)
+            "lint", "--select", "A302", str(bad)
         ])
         assert code == 1
         assert "A302" in text
@@ -273,23 +215,24 @@ class TestRuleDocsHygiene:
 
         assert set(RULE_DOCS) <= set(RULES)
 
-    def test_numeric_family_has_full_docs(self):
+    def test_race_and_hygiene_families_have_full_docs(self):
         from repro.analysis.findings import RULES
         from repro.analysis.ruledocs import RULE_DOCS
 
-        numeric = {code for code in RULES if code.startswith("N")}
-        assert numeric == {
-            "N701", "N702", "N703", "N704", "N705", "N706",
+        documented = {code for code in RULES if code[0] in "RW"}
+        assert documented == {
+            "R601", "R602", "R603", "R604", "R605", "W001", "W002",
         }
-        for rule_code in numeric:
+        assert set(RULE_DOCS) == documented
+        for rule_code in documented:
             doc = RULE_DOCS[rule_code]
             assert doc.summary == RULES[rule_code]
             assert doc.bad and doc.good and doc.rationale
 
-    def test_explain_cli_renders_shape_rule(self):
-        code, text = _run_cli(["lint", "--explain", "N701"])
+    def test_explain_cli_renders_race_rule(self):
+        code, text = _run_cli(["lint", "--explain", "R601"])
         assert code == 0
-        assert "N701" in text
+        assert "R601" in text
         assert "Bad:" in text and "Good:" in text
 
 
@@ -304,26 +247,23 @@ class TestSarifOutput:
 
     def test_sarif_physical_location(self, tmp_path):
         bad = tmp_path / "fault.py"
-        bad.write_text(
-            "def energy(power_w, energy_j):\n"
-            "    return power_w + energy_j\n"
-        )
+        bad.write_text(RACE_FAULT)
         code, run = self._sarif([
-            "lint", "--no-semantic", "--format", "sarif",
+            "lint", "--ignore", "C,M", "--format", "sarif",
             "--root", str(tmp_path), str(bad),
         ])
         assert code == 1
         (result,) = run["results"]
-        assert result["ruleId"] == "U501"
+        assert result["ruleId"] == "R601"
         location = result["locations"][0]["physicalLocation"]
         assert location["artifactLocation"]["uri"] == "fault.py"
-        assert location["region"]["startLine"] == 2
+        assert location["region"]["startLine"] == 5
 
     def test_sarif_rules_catalogue_is_complete(self, tmp_path):
         clean = tmp_path / "ok.py"
         clean.write_text("x = 1\n")
         code, run = self._sarif([
-            "lint", "--no-semantic", "--format", "sarif", str(clean)
+            "lint", "--ignore", "C,M", "--format", "sarif", str(clean)
         ])
         assert code == 0
         assert run["results"] == []
@@ -336,24 +276,21 @@ class TestSarifOutput:
         # partialFingerprints hash rule + function + normalized snippet,
         # not the line number, so annotations survive unrelated edits.
         bad = tmp_path / "fault.py"
-        fault = (
-            "def energy(power_w, energy_j):\n"
-            "    return power_w + energy_j\n"
-        )
+        fault = RACE_FAULT
         bad.write_text(fault)
         _, run = self._sarif([
-            "lint", "--no-semantic", "--format", "sarif", str(bad)
+            "lint", "--ignore", "C,M", "--format", "sarif", str(bad)
         ])
         (before,) = run["results"]
         fp_before = before["partialFingerprints"]["chaosLint/v1"]
 
         bad.write_text("# a new leading comment\n\n" + fault)
         _, run = self._sarif([
-            "lint", "--no-semantic", "--format", "sarif", str(bad)
+            "lint", "--ignore", "C,M", "--format", "sarif", str(bad)
         ])
         (after,) = run["results"]
         shifted_line = after["locations"][0]["physicalLocation"]
-        assert shifted_line["region"]["startLine"] == 4
+        assert shifted_line["region"]["startLine"] == 7
         assert after["partialFingerprints"]["chaosLint/v1"] == fp_before
 
     def test_sarif_logical_location_for_semantic_findings(self):

@@ -125,7 +125,7 @@ def test_replay_is_bit_identical_and_lossless(golden_fixture):
 def test_sanitized_replay_is_contract_clean_and_bit_identical(
     golden_fixture,
 ):
-    """Acceptance gate for chaos-shape's runtime half: the golden
+    """Acceptance gate for the array sanitizer: the golden
     replay under ``--sanitize`` reports zero array-contract violations
     while staying bit-identical to the offline reference — the
     sanitizer observes, it never touches."""
@@ -150,7 +150,6 @@ def test_sanitized_replay_is_contract_clean_and_bit_identical(
     assert report["n_violations"] == 0
     # The hot scoring path actually ran through contracted kernels.
     assert report["functions"]["matvec"]["calls"] > 0
-    assert report["functions"]["matvec"]["hot_calls"] > 0
     assert report["functions"]["prepare_row"]["calls"] > 0
     assert report["functions"]["observe_rows"]["calls"] > 0
     # And every observed operand arrived C-contiguous.
@@ -201,6 +200,33 @@ def test_failed_sanitized_replay_leaves_nothing_armed(golden_fixture):
         assert kernels.matvec is matvec
         assert warnings.showwarning is showwarning
         assert asyncio_logger.handlers == handlers
+
+
+def test_sanitized_replay_refuses_process_shards(golden_fixture):
+    """Regression: a sanitized replay over process shards scored in the
+    workers, where no sanitizer is armed, and passed with "0 violation(s)
+    over 0 contracted call(s)".  It is now refused before anything is
+    armed or any worker is spawned."""
+    import multiprocessing
+
+    from repro.analysis.arraysan import active_array_sanitizer
+    from repro.regression import kernels
+
+    bundle, machines = golden_fixture
+    matvec = kernels.matvec
+    for shards in (1, 2):
+        with pytest.raises(ValueError, match="only inline shards"):
+            replay(
+                machines,
+                static_bundles={bundle.platform_key: ("v1", bundle)},
+                speed=50.0,
+                sanitize=True,
+                shards=shards,
+                shard_backend="process",
+            )
+        assert active_array_sanitizer() is None
+        assert kernels.matvec is matvec
+        assert multiprocessing.active_children() == []
 
 
 def test_fixture_round_trip(scenario, tmp_path):

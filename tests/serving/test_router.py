@@ -1018,3 +1018,47 @@ def test_failed_process_fan_out_waits_for_every_call(scenario):
 
     assert _run(scenario_run())
     assert finished == ["tick_batch"]
+
+
+def test_start_closes_the_hosts_built_before_one_fails(
+    scenario, monkeypatch
+):
+    """Regression: ``start()`` built every shard host before assigning
+    ``self._hosts``, so when a later host failed to build, ``stop()``
+    never saw the ones already built and the first shard's worker
+    process stayed alive.  Hosts now land in ``self._hosts`` one at a
+    time."""
+    import multiprocessing
+
+    from repro.serving import router
+
+    built = []
+    real_make_host = router.make_host
+
+    def make_host(backend, config):
+        if built:
+            raise RuntimeError("the second shard failed to build")
+        built.append(real_make_host(backend, config))
+        return built[-1]
+
+    monkeypatch.setattr(router, "make_host", make_host)
+
+    async def scenario_run():
+        server = ShardedPowerServer(
+            static_bundles={
+                scenario.platform_key: ("Q@v1", scenario.bundle("Q"))
+            },
+            n_shards=2,
+            shard_backend="process",
+            tick_interval_s=TICK_S,
+        )
+        with pytest.raises(RuntimeError, match="second shard"):
+            await server.start()
+        await server.stop()
+        return server._hosts
+
+    assert _run(scenario_run()) == []
+    (host,) = built
+    host._process.join(timeout=10.0)
+    assert not host._process.is_alive()
+    assert host._process not in multiprocessing.active_children()

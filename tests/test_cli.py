@@ -202,6 +202,29 @@ class TestServingCommands:
         assert warnings.showwarning is showwarning
         assert logging.getLogger("asyncio").handlers == handlers
 
+    @pytest.mark.parametrize("command", ["serve", "replay"])
+    def test_sanitize_refuses_process_shards(self, tmp_path, command):
+        """Regression: worker interpreters are never armed, so a
+        sanitized run over process shards observed nothing and passed.
+        Both commands now exit 2 before anything is read, armed or
+        started."""
+        import multiprocessing
+
+        from repro.analysis.arraysan import active_array_sanitizer
+
+        source = {
+            "serve": ["--registry", str(tmp_path / "registry")],
+            "replay": ["--fixture", str(tmp_path / "fixture.json")],
+        }[command]
+        code, text = _run([
+            command, *source, "--sanitize",
+            "--shards", "2", "--shard-backend", "process",
+        ])
+        assert code == 2
+        assert "only inline shards" in text
+        assert active_array_sanitizer() is None
+        assert multiprocessing.active_children() == []
+
     def test_replay_needs_a_source(self):
         with pytest.raises(SystemExit):
             main(["replay"])
