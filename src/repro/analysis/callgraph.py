@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterator, List, Optional, Set, Tuple
+from typing import Dict, Iterator, List, Optional, Set, Tuple
 
 _SCOPE_NODES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
@@ -149,16 +149,6 @@ def _own_scope_nodes(body: List[ast.stmt]) -> Iterator[ast.AST]:
             push(child)
 
 
-def own_scope_statements(
-    node: ast.AST,
-) -> Iterator[ast.AST]:
-    """Public wrapper: every AST node in a function's own scope."""
-    body = getattr(node, "body", None)
-    if body is None:
-        return iter(())
-    return _own_scope_nodes(list(body))
-
-
 def _collect_calls(body: List[ast.stmt]) -> List[CallSite]:
     calls: List[CallSite] = []
     for node in _own_scope_nodes(body):
@@ -246,10 +236,3 @@ def build_callgraph_source(
 ) -> CallGraph:
     """Parse ``source`` and build its call graph."""
     return build_callgraph(ast.parse(source), module=module)
-
-
-def async_colored_units(
-    graph: CallGraph,
-) -> FrozenSet[str]:
-    """Frozen view of :meth:`CallGraph.async_colored` for rule passes."""
-    return frozenset(graph.async_colored())

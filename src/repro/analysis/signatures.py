@@ -80,14 +80,6 @@ EXECUTOR_HANDOFF_CALLS = frozenset({
     "run_in_executor", "to_thread", "submit",
 })
 
-#: Call targets that *consume* a coroutine object: passing a coroutine
-#: here counts as awaiting it for R603.
-COROUTINE_CONSUMERS = frozenset({
-    "gather", "wait", "wait_for", "create_task", "ensure_future",
-    "as_completed", "run", "run_until_complete", "shield",
-    "run_coroutine_threadsafe",
-})
-
 #: asyncio synchronization/queue primitives that bind to the running
 #: event loop; creating one where no loop is running (module scope, or
 #: a sync function that later calls ``asyncio.run``) is R604.

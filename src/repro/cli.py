@@ -418,8 +418,7 @@ def _add_engine_flags(parser: argparse.ArgumentParser) -> None:
         choices=["fail_fast", "continue"], dest="failure_policy",
         help="fail_fast (default) aborts on the first task failure; "
         "continue finishes every independent task, skips dependents of "
-        "failed ones, and reports the failed subgraph (default: "
-        "$REPRO_FAILURE_POLICY or fail_fast)",
+        "failed ones, and reports the failed subgraph",
     )
     parser.add_argument(
         "--resume", action="store_true",

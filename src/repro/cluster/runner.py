@@ -134,38 +134,35 @@ def execute_runs(
 ) -> list[ClusterRun]:
     """Run a workload ``n_runs`` times on a cluster, collecting telemetry.
 
-    With ``jobs > 1`` the runs are generated as parallel engine tasks
-    (bit-identical to the serial order); ``jobs=None`` follows the
-    process-wide engine options.
+    Each run is one engine task, bit-identical at every ``jobs`` value;
+    ``jobs=None`` follows the process-wide engine options.  No more
+    workers than runs are asked for, so a single run never starts a
+    process pool.  A run that raises surfaces as a
+    :class:`~repro.engine.TaskError` naming it.
     """
     from repro.engine import TaskGraph, TaskSpec, resolve_jobs, run_graph
 
     if n_runs < 1:
         raise ValueError("need at least one run")
     base_seed = cluster.seed if seed is None else seed
-    jobs = resolve_jobs(jobs)
-
-    if jobs == 1 or n_runs == 1:
-        return [
-            generate_run(cluster, workload, run_index, base_seed)
-            for run_index in range(n_runs)
-        ]
-
+    keys = [
+        f"{cluster.name}/{workload.name}/run{run_index}"
+        for run_index in range(n_runs)
+    ]
     graph = TaskGraph([
         TaskSpec(
-            key=f"{cluster.name}/{workload.name}/run{run_index}",
+            key=key,
             fn="repro.cluster.runner:run_task",
             config={"run_index": run_index, "base_seed": base_seed},
             payload=(cluster, workload),
             cacheable=False,
         )
-        for run_index in range(n_runs)
+        for run_index, key in enumerate(keys)
     ])
-    results = run_graph(graph, jobs=jobs, root_seed=base_seed)
-    return [
-        results[f"{cluster.name}/{workload.name}/run{run_index}"]
-        for run_index in range(n_runs)
-    ]
+    results = run_graph(
+        graph, jobs=min(resolve_jobs(jobs), n_runs), root_seed=base_seed
+    )
+    return [results[key] for key in keys]
 
 
 def _machine_sampling_seed(base_seed: int, machine_index: int) -> int:

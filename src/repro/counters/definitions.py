@@ -135,9 +135,6 @@ class CounterCatalog:
     def definition(self, name: str) -> CounterDefinition:
         return self.definitions[self.index_of(name)]
 
-    def by_category(self, category: CounterCategory) -> list[CounterDefinition]:
-        return [d for d in self.definitions if d.category is category]
-
     @property
     def codependent_triples(self) -> list[tuple[str, str, str]]:
         """(sum, addend, addend) triples declared in the definitions."""

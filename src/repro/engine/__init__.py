@@ -1,11 +1,12 @@
 """The parallel experiment engine.
 
 Decomposes experiment pipelines into a work graph of declaratively
-specified tasks, executes them serially or on a process pool with
-bit-identical results, retries flaky tasks with deterministic backoff,
-bounds hung tasks with wall-clock timeouts, and backs cacheable tasks
-with a checksummed, content-addressed on-disk artifact cache — which is
-also what makes interrupted runs resumable.  See ``docs/engine.md``.
+specified tasks, executes them with one scheduler — in the calling
+process at ``jobs=1``, on a process pool above that — with bit-identical
+results, retries flaky tasks with deterministic backoff, bounds hung
+pool tasks with wall-clock timeouts, and backs cacheable tasks with a
+checksummed, content-addressed on-disk artifact cache — which is also
+what makes interrupted runs resumable.  See ``docs/engine.md``.
 """
 
 from repro.engine.cache import (

@@ -1,50 +1,62 @@
-"""The executor: run a task graph serially or on a process pool.
+"""The executor: one scheduler runs a task graph at every ``jobs`` value.
+
+The scheduler launches a task as soon as its dependencies are done and
+keeps at most ``jobs`` attempts in flight.  Only the executor it submits
+to depends on ``jobs``: at ``jobs=1`` an in-process executor runs each
+attempt in the calling process at submit time and returns an already
+settled future, so tasks run in the graph's topological order while no
+task is backing off; at ``jobs>1`` a ``ProcessPoolExecutor`` runs each
+attempt in a worker.
 
 Determinism contract: a task's result depends only on (config, payload,
 dependency results, derived seed) — never on scheduling.  Per-task seeds
 are spawned from the root seed with ``numpy.random.SeedSequence`` against
 the *sorted* task keys, so adding workers, reordering completions,
 retrying a flaky task, or resuming from a warm cache cannot change any
-task's random stream.  The serial path (``jobs=1``) and the pool path
-execute the identical task function, and every cacheable result is
-normalized through the canonical JSON round-trip *inside the attempt
-itself*, so cold computes and warm-cache replays are bit-identical —
-which is what the golden-result suite pins — and a cacheable task that
-returns a non-JSON-serializable value fails like any other task (retries
-and the failure policy apply; mark the task ``cacheable=False`` to
-return arbitrary objects).
+task's random stream.  Both executors run the identical task function,
+and every cacheable result is normalized through the canonical JSON
+round-trip *inside the attempt itself*, so cold computes and warm-cache
+replays are bit-identical — which is what the golden-result suite pins —
+and a cacheable task that returns a non-JSON-serializable value fails
+like any other task (retries and the failure policy apply; mark the task
+``cacheable=False`` to return arbitrary objects).
 
 Failure contract: each task gets ``1 + max_retries`` attempts, separated
 by deterministic exponential backoff (:func:`retry_delay`); a retried
 task re-runs with the *same* derived seed, so an eventual success is
-bit-identical to a never-failing run.  On the pool path each attempt is
-bounded by the task's wall-clock ``timeout``.  The timeout clock starts
-at ``pool.submit()``, and the scheduler keeps at most ``jobs`` futures
-in flight, so submission coincides with a free worker and queue-wait is
-never billed against a task's budget.  Timeouts are terminal — the hung
-worker is killed and the pool rebuilt; in-flight siblings that already
-finished are settled normally (a completed failure is charged its
-attempt) and unfinished ones are requeued without being charged.  When
-a worker *dies* (``BrokenProcessPool``) every in-flight future is
-poisoned and the scheduler cannot tell the killer from bystanders: all
-victims are requeued uncharged and quarantined to re-run one at a time,
-so a repeat crash happens with exactly one task in flight and that task
-is charged a (retryable) failed attempt.  What happens after a task
-exhausts its attempts is the run's ``failure_policy``:
+bit-identical to a never-failing run, and other ready tasks run while it
+backs off.  On a process pool each attempt is bounded by the task's
+wall-clock ``timeout``.  The timeout clock starts at ``pool.submit()``,
+and the scheduler keeps at most ``jobs`` futures in flight, so
+submission coincides with a free worker and queue-wait is never billed
+against a task's budget.  Timeouts are terminal — every worker of the
+pool, the hung one included, is killed and the pool rebuilt; in-flight
+siblings that already finished are settled normally (a completed failure
+is charged its attempt) and unfinished ones are requeued without being
+charged.  When a worker *dies* (``BrokenProcessPool``) every in-flight
+future is poisoned and the scheduler cannot tell the killer from
+bystanders: all victims are requeued uncharged and quarantined to re-run
+one at a time, so a repeat crash happens with exactly one task in flight
+and that task is charged a (retryable) failed attempt.  The in-process
+executor cannot interrupt a call, so at ``jobs=1`` no timeout is
+enforced, no task is quarantined and no pool is rebuilt.  What happens
+after a task exhausts its attempts is the run's ``failure_policy``:
 
 * ``"fail_fast"`` (default, the historical behavior): abort immediately
   with a :class:`TaskError` naming the task and carrying the worker
-  traceback.  Queued siblings are cancelled with ``cancel_futures`` and
-  the pool is shut down *without waiting* for running siblings, so the
-  error surfaces promptly even behind a slow task.
+  traceback.  Queued siblings are cancelled and running ones killed, so
+  the error surfaces promptly even behind a slow task (a sibling's
+  result would be discarded anyway).
 * ``"continue"``: record the failure, transitively skip the failed
   task's dependents, and keep executing every independent subgraph.
   :func:`run_graph_report` then returns a :class:`RunReport` listing
   succeeded/failed/skipped tasks with per-task tracebacks.
 
-Either way a failed task writes nothing to the cache (writes happen only
-after success, atomically), so ``repro sweep --resume`` can replay the
-graph against the warm cache and recompute only missing or failed tasks.
+No worker outlives :func:`run_graph_report`, whether it returns or
+raises.  Either way a failed task writes nothing to the cache (writes
+happen only after success, atomically), so ``repro sweep --resume`` can
+replay the graph against the warm cache and recompute only missing or
+failed tasks.
 """
 
 from __future__ import annotations
@@ -53,10 +65,15 @@ import math
 import time
 import traceback
 from collections import deque
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+from concurrent.futures import (
+    FIRST_COMPLETED,
+    Future,
+    ProcessPoolExecutor,
+    wait,
+)
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, Callable
 
 from numpy.random import SeedSequence, default_rng
 
@@ -101,7 +118,7 @@ class TaskError(RuntimeError):
 
 
 class TaskTimeout(TaskError):
-    """A task exceeded its wall-clock timeout on the pool path."""
+    """A task exceeded its wall-clock timeout on a process pool."""
 
 
 @dataclass(frozen=True)
@@ -218,8 +235,8 @@ def _execute(
     through the canonical JSON encoding *inside* the attempt, so a
     non-serializable result is an ordinary task failure — captured,
     retried, and subject to the run's failure policy like any exception
-    the task body raises — on the serial and pool paths alike, whether
-    or not a cache is attached.
+    the task body raises — at every ``jobs`` value, whether or not a
+    cache is attached.
     """
     started = time.perf_counter()
     fn = resolve_callable(fn_path)
@@ -274,9 +291,10 @@ def run_graph_report(
 ) -> RunReport:
     """Execute the graph and report per-task outcomes.
 
-    ``jobs=1`` runs inline in topological order; ``jobs>1`` uses a
-    ``ProcessPoolExecutor``, scheduling a task as soon as its
-    dependencies are done.  Either way, cacheable tasks are first looked
+    Every ``jobs`` value runs on the same scheduler: ``jobs=1`` runs each
+    attempt in the calling process (never starting a process pool, never
+    enforcing ``TaskSpec.timeout``); ``jobs>1`` runs attempts on a
+    ``ProcessPoolExecutor``.  Either way, cacheable tasks are first looked
     up in ``cache`` (missing/corrupt entries are recomputed) and stored
     after success.  Under ``failure_policy="fail_fast"`` the first
     terminal failure raises; under ``"continue"`` failures land in the
@@ -295,22 +313,11 @@ def run_graph_report(
     telemetry = telemetry if telemetry is not None else EngineTelemetry()
     report = RunReport()
     started = time.perf_counter()
-
     try:
-        # No single-task serial shortcut: with jobs > 1 the caller gets
-        # pool semantics (timeout enforcement, crash isolation) even for
-        # a one-task graph — a crashing task must kill a worker, never
-        # the calling process.
-        if jobs == 1:
-            _run_serial(
-                order, seeds, cache, version, root_seed, report, telemetry,
-                failure_policy,
-            )
-        else:
-            _run_pool(
-                graph, order, seeds, cache, version, root_seed, report,
-                telemetry, jobs, failure_policy,
-            )
+        _schedule(
+            graph, order, seeds, cache, version, root_seed, report,
+            telemetry, jobs, failure_policy,
+        )
     finally:
         telemetry.wall_seconds += time.perf_counter() - started
     return report
@@ -354,91 +361,48 @@ def _skip_failure(task: TaskSpec, cause: TaskFailure) -> TaskFailure:
     )
 
 
-def _run_serial(
-    order, seeds, cache, version, root_seed, report, telemetry,
-    failure_policy,
-) -> None:
-    results = report.results
-    # Root-cause failure for every dead (failed or skipped) task key.
-    dead: dict[str, TaskFailure] = {}
-    for task in order:
-        blocked = next((d for d in task.deps if d in dead), None)
-        if blocked is not None:
-            failure = _skip_failure(task, dead[blocked])
-            dead[task.key] = dead[blocked]
-            report.skipped.append(failure)
-            telemetry.record(
-                task.key, task.fn, 0.0, OUTCOME_SKIPPED, "inline"
-            )
-            continue
-        artifact_key, cached = _try_cache(task, cache, version, root_seed)
-        if cached is not MISS:
-            results[task.key] = cached
-            report.succeeded.append(task.key)
-            telemetry.record(
-                task.key, task.fn, 0.0, OUTCOME_CACHE_HIT, "inline"
-            )
-            continue
-        deps = {dep: results[dep] for dep in task.deps}
-        n_failed = 0
-        while True:
-            try:
-                result, seconds = _execute(
-                    task.fn, task.config, task.payload, deps,
-                    seeds[task.key], task.cacheable,
-                )
-                break
-            except Exception as error:
-                n_failed += 1
-                detail = traceback.format_exc()
-                if n_failed <= task.max_retries:
-                    time.sleep(
-                        retry_delay(task, seeds[task.key], n_failed - 1)
-                    )
-                    continue
-                telemetry.record(
-                    task.key, task.fn, 0.0, OUTCOME_FAILED, "inline",
-                    retries=n_failed - 1,
-                )
-                if failure_policy == FAIL_FAST:
-                    raise TaskError(
-                        task.key, task.fn, detail, attempts=n_failed
-                    ) from error
-                failure = TaskFailure(
-                    task.key, task.fn, KIND_ERROR, n_failed, detail
-                )
-                report.failed.append(failure)
-                dead[task.key] = failure
-                result = None
-                break
-        if task.key in dead:
-            continue
-        results[task.key] = result
-        if artifact_key is not None:
-            cache.put(artifact_key, result)
-        report.succeeded.append(task.key)
-        telemetry.record(
-            task.key, task.fn, seconds, OUTCOME_COMPUTED, "inline",
-            retries=n_failed,
-        )
+class _InProcessExecutor:
+    """The ``jobs=1`` executor: ``submit`` runs the call right away.
 
+    It returns an already-settled future, so the scheduler never waits
+    on it, never sees its deadline expire and never sees a broken pool.
+    Only ``Exception`` is captured: ``KeyboardInterrupt`` propagates out
+    of ``submit`` as it would from any inline call.
+    """
 
-def _terminate_workers(pool: ProcessPoolExecutor) -> None:
-    """Forcibly kill a pool's worker processes (hung-task recovery)."""
-    processes = getattr(pool, "_processes", None) or {}
-    for process in list(processes.values()):
+    def submit(self, fn: Callable[..., Any], *args: Any) -> Future:
+        future: Future = Future()
         try:
-            process.kill()
-        except Exception:
-            pass
-    for process in list(processes.values()):
-        try:
-            process.join(timeout=1.0)
-        except Exception:
-            pass
+            future.set_result(fn(*args))
+        except Exception as error:
+            future.set_exception(error)
+        return future
+
+    def shutdown(self, wait: bool = True, cancel_futures: bool = False) -> None:
+        del wait, cancel_futures
 
 
-def _run_pool(
+def _new_executor(jobs: int) -> _InProcessExecutor | ProcessPoolExecutor:
+    if jobs == 1:
+        return _InProcessExecutor()
+    return ProcessPoolExecutor(max_workers=jobs)
+
+
+def _shutdown_now(pool: _InProcessExecutor | ProcessPoolExecutor) -> None:
+    """Kill every worker process of ``pool``, then shut it down.
+
+    Killing is what stops a hung task: ``shutdown`` alone lets a running
+    call finish, so a live worker would outlive the run and hold up
+    interpreter exit.  The workers are read before ``shutdown``, which
+    drops the pool's worker table; once it returns, the pool's manager
+    thread has reaped every killed worker.
+    """
+    for process in list((getattr(pool, "_processes", None) or {}).values()):
+        process.kill()
+    pool.shutdown(wait=True, cancel_futures=True)
+
+
+def _schedule(
     graph, order, seeds, cache, version, root_seed, report, telemetry,
     jobs, failure_policy,
 ) -> None:
@@ -476,19 +440,28 @@ def _run_pool(
                 continue
             dead[key] = root_failure
             report.skipped.append(_skip_failure(specs[key], root_failure))
-            telemetry.record(
-                key, specs[key].fn, 0.0, OUTCOME_SKIPPED, "pool"
-            )
+            telemetry.record(key, specs[key].fn, 0.0, OUTCOME_SKIPPED)
             stack.extend(dependents[key])
 
     def _terminal_failure(
-        key: str, kind: str, n_attempts: int, detail: str, seconds: float
+        key: str,
+        kind: str,
+        n_attempts: int,
+        detail: str,
+        seconds: float,
+        error: BaseException | None = None,
     ) -> None:
+        """Settle a task that is out of attempts, per the failure policy."""
         task = specs[key]
         outcome = OUTCOME_TIMEOUT if kind == KIND_TIMEOUT else OUTCOME_FAILED
         telemetry.record(
-            key, task.fn, seconds, outcome, "pool", retries=n_attempts - 1
+            key, task.fn, seconds, outcome, retries=n_attempts - 1
         )
+        if failure_policy == FAIL_FAST:
+            error_type = TaskTimeout if kind == KIND_TIMEOUT else TaskError
+            raise error_type(
+                key, task.fn, detail, attempts=n_attempts
+            ) from error
         failure = TaskFailure(key, task.fn, kind, n_attempts, detail)
         report.failed.append(failure)
         dead[key] = failure
@@ -501,15 +474,15 @@ def _run_pool(
             cache.put(artifact_keys[key], result)
         report.succeeded.append(key)
         telemetry.record(
-            key, task.fn, seconds, OUTCOME_COMPUTED, "pool",
+            key, task.fn, seconds, OUTCOME_COMPUTED,
             retries=attempts.get(key, 0),
         )
         ready.extend(_resolve_done(key))
 
     def _charge_failure(
-        key: str, detail: str, error: BaseException | None = None
+        key: str, detail: str, error: BaseException
     ) -> None:
-        """Account one failed attempt: back off, abort, or settle."""
+        """Account one failed attempt: back off or settle the task."""
         task = specs[key]
         n_attempts = attempts.get(key, 0) + 1
         attempts[key] = n_attempts
@@ -519,15 +492,7 @@ def _run_pool(
             )
             sleeping.append((wake, key))
             return
-        if failure_policy == FAIL_FAST:
-            telemetry.record(
-                key, task.fn, 0.0, OUTCOME_FAILED, "pool",
-                retries=n_attempts - 1,
-            )
-            raise TaskError(
-                key, task.fn, detail, attempts=n_attempts
-            ) from error
-        _terminal_failure(key, KIND_ERROR, n_attempts, detail, 0.0)
+        _terminal_failure(key, KIND_ERROR, n_attempts, detail, 0.0, error)
 
     def _launch(key: str) -> None:
         """Cache-check ``key`` and submit it to the pool on a miss."""
@@ -538,7 +503,7 @@ def _run_pool(
         if cached is not MISS:
             results[key] = cached
             report.succeeded.append(key)
-            telemetry.record(key, task.fn, 0.0, OUTCOME_CACHE_HIT, "pool")
+            telemetry.record(key, task.fn, 0.0, OUTCOME_CACHE_HIT)
             ready.extend(_resolve_done(key))
             return
         deps = {dep: results[dep] for dep in task.deps}
@@ -559,13 +524,12 @@ def _run_pool(
 
     def _rebuild_pool() -> None:
         nonlocal pool
-        pool.shutdown(wait=False, cancel_futures=True)
-        _terminate_workers(pool)
-        pool = ProcessPoolExecutor(max_workers=jobs)
+        _shutdown_now(pool)
+        pool = _new_executor(jobs)
 
-    pool = ProcessPoolExecutor(max_workers=jobs)
-    futures: dict[Any, str] = {}
-    deadlines: dict[Any, float] = {}
+    pool = _new_executor(jobs)
+    futures: dict[Future, str] = {}
+    deadlines: dict[Future, float] = {}
     try:
         while ready or quarantine or futures or sleeping:
             # Promote retries whose backoff has elapsed.
@@ -615,7 +579,9 @@ def _run_pool(
                 continue
 
             # Wait for a completion, the nearest timeout deadline, or
-            # the nearest retry wake-up — whichever comes first.
+            # the nearest retry wake-up — whichever comes first.  An
+            # in-process future is settled at submit, so it always
+            # completes here and its deadline never expires.
             horizons = [d for d in deadlines.values() if d != math.inf]
             horizons.extend(entry[0] for entry in sleeping)
             wait_timeout = (
@@ -639,21 +605,8 @@ def _run_pool(
                     attempts[key] = n_attempts
                     detail = (
                         f"task exceeded its {task.timeout}s wall-clock "
-                        "timeout on the pool path"
+                        "timeout on the process pool"
                     )
-                    if failure_policy == FAIL_FAST:
-                        telemetry.record(
-                            key, task.fn, task.timeout, OUTCOME_TIMEOUT,
-                            "pool", retries=n_attempts - 1,
-                        )
-                        # The hung worker would block interpreter exit
-                        # (non-daemon pool processes); kill it before
-                        # surfacing the timeout.
-                        pool.shutdown(wait=False, cancel_futures=True)
-                        _terminate_workers(pool)
-                        raise TaskTimeout(
-                            key, task.fn, detail, attempts=n_attempts
-                        )
                     _terminal_failure(
                         key, KIND_TIMEOUT, n_attempts, detail, task.timeout
                     )
@@ -730,10 +683,10 @@ def _run_pool(
                 else:
                     quarantine.extend(k for k in victims if k not in dead)
     except BaseException:
-        # Surface the error promptly: cancel queued siblings and do NOT
-        # wait for running ones (a slow sibling must never delay the
-        # TaskError) — workers wind down in the background.
-        pool.shutdown(wait=False, cancel_futures=True)
+        # Surface the error promptly and leave no worker behind: queued
+        # siblings are cancelled and running ones killed (a fail_fast
+        # abort discards their results anyway).
+        _shutdown_now(pool)
         raise
     else:
         pool.shutdown(wait=True)

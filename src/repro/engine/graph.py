@@ -2,9 +2,9 @@
 
 ``TaskGraph`` validates eagerly (duplicate keys at ``add`` time, unknown
 dependencies and cycles at ``topological_order`` time) and orders
-deterministically: ready tasks are emitted in insertion order, so the
-serial executor visits tasks in exactly the order callers declared them,
-independent of how the dependency structure interleaves.
+deterministically: ready tasks are emitted in insertion order.  At
+``jobs=1`` the executor visits tasks in exactly ``topological_order()``
+while no task is backing off for a retry.
 """
 
 from __future__ import annotations

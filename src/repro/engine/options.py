@@ -4,10 +4,12 @@ Library entry points (``sweep_models``, ``cross_validate``,
 ``execute_runs``) accept explicit ``jobs``/``cache``/``failure_policy``
 arguments; when a caller passes ``None`` they fall back to the defaults
 here, which the CLI sets from ``--jobs``/``--cache-dir``/``--no-cache``/
-``--failure-policy`` and CI sets from the ``REPRO_JOBS`` /
-``REPRO_CACHE_DIR`` / ``REPRO_FAILURE_POLICY`` environment variables.
-That lets a flag on ``repro reproduce`` parallelize every sweep inside an
-experiment driver without threading arguments through each one.
+``--failure-policy``.  With nothing installed, ``jobs`` and the cache
+directory come from the ``REPRO_JOBS`` / ``REPRO_CACHE_DIR`` environment
+variables (CI runs the suite under ``REPRO_JOBS=2``) and the failure
+policy is ``fail_fast``.  That lets a flag on ``repro reproduce``
+parallelize every sweep inside an experiment driver without threading
+arguments through each one.
 """
 
 from __future__ import annotations
@@ -20,7 +22,6 @@ from repro.engine.executor import FAIL_FAST, FAILURE_POLICIES
 
 ENV_JOBS = "REPRO_JOBS"
 ENV_CACHE_DIR = "REPRO_CACHE_DIR"
-ENV_FAILURE_POLICY = "REPRO_FAILURE_POLICY"
 
 
 @dataclass(frozen=True)
@@ -76,13 +77,8 @@ def default_options() -> EngineOptions:
         jobs = max(1, int(jobs_text))
     except ValueError:
         jobs = 1
-    policy = os.environ.get(ENV_FAILURE_POLICY, "") or FAIL_FAST
-    if policy not in FAILURE_POLICIES:
-        policy = FAIL_FAST
     return EngineOptions(
-        jobs=jobs,
-        cache_dir=os.environ.get(ENV_CACHE_DIR) or None,
-        failure_policy=policy,
+        jobs=jobs, cache_dir=os.environ.get(ENV_CACHE_DIR) or None
     )
 
 

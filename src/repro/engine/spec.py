@@ -53,9 +53,10 @@ class TaskSpec:
     (jittered deterministically)."""
 
     timeout: float | None = None
-    """Wall-clock budget in seconds for one attempt, enforced on the
-    process-pool path (``jobs > 1``); ``None`` means unbounded.  The
-    serial path cannot interrupt a running call and ignores it."""
+    """Wall-clock budget in seconds for one attempt, enforced on a
+    process pool (``jobs > 1``) by killing the worker; ``None`` means
+    unbounded.  At ``jobs=1`` the attempt runs in the calling process,
+    which cannot be interrupted, so the budget is not enforced."""
 
     def __post_init__(self):
         if not self.key:

@@ -38,10 +38,6 @@ class CrossWorkloadResult:
         return self.unseen_dre[workload] - self.multiworkload_dre[workload]
 
     @property
-    def worst_unseen_dre(self) -> float:
-        return max(self.unseen_dre.values())
-
-    @property
     def mean_gap(self) -> float:
         return float(np.mean([self.gap(w) for w in self.unseen_dre]))
 

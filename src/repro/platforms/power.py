@@ -191,10 +191,6 @@ class PowerSynthesizer:
             drift[t] = rho * drift[t - 1] + innovations[t]
         return drift
 
-    def component_breakdown(self, activity: ActivityTrace) -> dict[str, np.ndarray]:
-        """Per-component dynamic fractions (for analysis and tests)."""
-        return self._component_fractions(activity)
-
 
 def _full_activity(spec: PlatformSpec, n_seconds: int) -> ActivityTrace:
     """A trace with every component saturated, used as calibration anchor."""

@@ -69,28 +69,45 @@ class Histogram:
         """Approximate quantile: the upper edge of the covering bucket."""
         if not 0.0 <= q <= 1.0:
             raise ValueError("quantile must be in [0, 1]")
-        if self.n_observed == 0:
-            return 0.0
-        rank = q * self.n_observed
-        seen = 0
-        for index, count in enumerate(self.counts):
-            seen += count
-            if seen >= rank and count > 0:
-                if index < len(self.bounds):
-                    return float(self.bounds[index])
-                return float(self.bounds[-1])
-        return float(self.bounds[-1])
+        return _quantile(self.bounds, self.counts, q)
 
     def to_dict(self) -> dict:
-        return {
-            "bounds": [float(b) for b in self.bounds],
-            "counts": list(self.counts),
-            "count": self.n_observed,
-            "total": self.total,
-            "mean": self.mean,
-            "p50": self.quantile(0.50),
-            "p99": self.quantile(0.99),
-        }
+        return _histogram_dict(self.bounds, self.counts, self.total)
+
+
+def _quantile(
+    bounds: Sequence[float], counts: Sequence[int], q: float
+) -> float:
+    """The upper edge of the bucket holding rank ``q`` (0.0 if empty);
+    the overflow bucket reports the last bound."""
+    n_observed = sum(counts)
+    if n_observed == 0:
+        return 0.0
+    rank = q * n_observed
+    seen = 0
+    for index, count in enumerate(counts):
+        seen += count
+        if seen >= rank and count > 0:
+            if index < len(bounds):
+                return float(bounds[index])
+            return float(bounds[-1])
+    return float(bounds[-1])
+
+
+def _histogram_dict(
+    bounds: Sequence[float], counts: Sequence[int], total: float
+) -> dict:
+    """The serialized histogram, live or merged: one shape for both."""
+    n_observed = sum(counts)
+    return {
+        "bounds": [float(b) for b in bounds],
+        "counts": list(counts),
+        "count": n_observed,
+        "total": total,
+        "mean": total / n_observed if n_observed else 0.0,
+        "p50": _quantile(bounds, counts, 0.50),
+        "p99": _quantile(bounds, counts, 0.99),
+    }
 
 
 def latency_histogram() -> Histogram:
@@ -197,24 +214,6 @@ _COUNTER_KEYS = (
 )
 
 
-def _quantile_from_counts(
-    bounds: Sequence[float], counts: Sequence[int], q: float
-) -> float:
-    """``Histogram.quantile`` over an already-serialized histogram."""
-    n_observed = sum(counts)
-    if n_observed == 0:
-        return 0.0
-    rank = q * n_observed
-    seen = 0
-    for index, count in enumerate(counts):
-        seen += count
-        if seen >= rank and count > 0:
-            if index < len(bounds):
-                return float(bounds[index])
-            return float(bounds[-1])
-    return float(bounds[-1])
-
-
 def _merge_histogram_dicts(dicts: Sequence[dict]) -> dict:
     """Merge serialized histograms by adding bucket counts.
 
@@ -232,16 +231,7 @@ def _merge_histogram_dicts(dicts: Sequence[dict]) -> dict:
         for index, count in enumerate(entry["counts"]):
             counts[index] += count
         total += entry.get("total", entry["mean"] * entry["count"])
-    n_observed = sum(counts)
-    return {
-        "bounds": list(bounds),
-        "counts": counts,
-        "count": n_observed,
-        "total": total,
-        "mean": total / n_observed if n_observed else 0.0,
-        "p50": _quantile_from_counts(bounds, counts, 0.50),
-        "p99": _quantile_from_counts(bounds, counts, 0.99),
-    }
+    return _histogram_dict(bounds, counts, total)
 
 
 def merge_snapshots(snapshots: Sequence[dict]) -> dict:

@@ -2,9 +2,9 @@
 
 The executor records one :class:`TaskRecord` per task — how long it took,
 whether it was computed, served from the artifact cache, failed, timed
-out, or was skipped behind a failed dependency, how many retries it
-needed, and where it ran — and :class:`EngineTelemetry` aggregates them
-into the hit-rate, retry and timing summary the CLI prints after a sweep.
+out, or was skipped behind a failed dependency, and how many retries it
+needed — and :class:`EngineTelemetry` aggregates them into the hit-rate,
+retry and timing summary the CLI prints after a sweep.
 """
 
 from __future__ import annotations
@@ -29,9 +29,6 @@ class TaskRecord:
     fn: str
     seconds: float
     outcome: str
-    worker: str
-    """``inline`` for in-process execution, ``pool`` for a pool worker."""
-
     retries: int = 0
     """Failed attempts before this outcome (0 = first try)."""
 
@@ -49,7 +46,6 @@ class EngineTelemetry:
         fn: str,
         seconds: float,
         outcome: str,
-        worker: str,
         retries: int = 0,
     ) -> None:
         self.records.append(
@@ -58,7 +54,6 @@ class EngineTelemetry:
                 fn=fn,
                 seconds=seconds,
                 outcome=outcome,
-                worker=worker,
                 retries=retries,
             )
         )

@@ -10,8 +10,20 @@ from repro.cluster import (
     pool_runs,
     runwise_folds,
 )
+from repro.engine import TaskError
+from repro.engine import executor as engine_executor
 from repro.platforms import CORE2
 from repro.workloads import WordCountWorkload
+
+
+class FailingRunWorkload(WordCountWorkload):
+    """Word count whose run 1 raises (module level: pool workers unpickle
+    it by reference)."""
+
+    def generate_run(self, machines, run_index, seed):
+        if run_index == 1:
+            raise RuntimeError("injected run failure")
+        return super().generate_run(machines, run_index=run_index, seed=seed)
 
 
 @pytest.fixture(scope="module")
@@ -55,6 +67,28 @@ class TestExecuteRuns:
     def test_bad_run_count_rejected(self, cluster):
         with pytest.raises(ValueError):
             execute_runs(cluster, WordCountWorkload(), n_runs=0)
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_failing_run_raises_task_error_naming_it(self, cluster, jobs):
+        workload = FailingRunWorkload()
+        with pytest.raises(TaskError) as excinfo:
+            execute_runs(cluster, workload, n_runs=2, jobs=jobs)
+        assert excinfo.value.key == f"{cluster.name}/{workload.name}/run1"
+        assert "injected run failure" in excinfo.value.detail
+
+    def test_single_run_never_starts_a_process_pool(
+        self, cluster, runs, monkeypatch
+    ):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a single run started a process pool")
+
+        monkeypatch.setattr(engine_executor, "ProcessPoolExecutor", no_pool)
+        again = execute_runs(cluster, WordCountWorkload(), n_runs=1, jobs=2)
+        machine_id = runs[0].machine_ids[0]
+        assert np.array_equal(
+            again[0].logs[machine_id].power_w,
+            runs[0].logs[machine_id].power_w,
+        )
 
 
 class TestPooling:

@@ -28,6 +28,8 @@ DELAYED_BOOM = "tests.engine.tasklib:delayed_boom"
 RECORD_RUN = "tests.engine.tasklib:record_run"
 UNSERIALIZABLE = "tests.engine.tasklib:unserializable"
 NON_CANONICAL = "tests.engine.tasklib:non_canonical"
+VISIT = "tests.engine.tasklib:visit"
+INTERRUPT = "tests.engine.tasklib:interrupt"
 
 
 def add(config, payload, deps, seed):
@@ -96,6 +98,24 @@ def hang(config, payload, deps, seed):
     del payload, deps, seed
     time.sleep(config.get("seconds", 60.0))
     return "never returned in time"
+
+
+def visit(config, payload, deps, seed):
+    """Append ``config['key']`` to ``payload``, a list the caller holds.
+
+    Only an in-process run shares the list with the caller (a pool
+    worker appends to its own unpickled copy), so the list records the
+    order in which ``jobs=1`` visited the tasks.
+    """
+    del deps, seed
+    payload.append(config["key"])
+    return len(payload)
+
+
+def interrupt(config, payload, deps, seed):
+    """Raise ``KeyboardInterrupt`` as if Ctrl-C landed inside the task."""
+    del config, payload, deps, seed
+    raise KeyboardInterrupt
 
 
 def crash_worker(config, payload, deps, seed):

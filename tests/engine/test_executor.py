@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.engine import (
     MISS,
@@ -12,6 +14,7 @@ from repro.engine import (
     TaskSpec,
     cache_key,
     run_graph,
+    run_graph_report,
 )
 from repro.engine.codeversion import code_version
 from repro.telemetry.engine_stats import (
@@ -75,6 +78,40 @@ def test_ready_queue_order_never_leaks_into_results():
     for jobs in (2, 3, 5):
         assert run_graph(wide_layered_graph(), jobs=jobs,
                          root_seed=11) == serial
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_jobs1_visits_tasks_in_topological_order(data):
+    """Property: with nothing retrying, ``jobs=1`` runs the tasks of any
+    generated DAG, declared in any order, exactly in
+    ``graph.topological_order()``, and reports them in that order."""
+    n = data.draw(st.integers(min_value=1, max_value=12), label="n")
+    edges = data.draw(
+        st.sets(
+            st.tuples(
+                st.integers(0, n - 1), st.integers(0, n - 1)
+            ).filter(lambda e: e[0] < e[1]),
+            max_size=3 * n,
+        ),
+        label="edges",
+    )
+    insertion = data.draw(st.permutations(range(n)), label="insertion")
+    visits: list[str] = []
+    graph = TaskGraph([
+        TaskSpec(
+            key=f"t{i}", fn=tasklib.VISIT, config={"key": f"t{i}"},
+            payload=visits,
+            deps=tuple(f"t{a}" for (a, b) in sorted(edges) if b == i),
+        )
+        for i in insertion
+    ])
+    stats = EngineTelemetry()
+    report = run_graph_report(graph, jobs=1, telemetry=stats)
+    order = [task.key for task in graph.topological_order()]
+    assert visits == order
+    assert report.succeeded == order
+    assert [record.key for record in stats.records] == order
 
 
 def test_root_seed_changes_seeded_tasks_only():
@@ -248,6 +285,22 @@ def test_failure_cancels_pending_work_and_does_not_hang():
     )
     with pytest.raises(TaskError, match="doomed"):
         run_graph(graph, jobs=2)
+
+
+@pytest.mark.parametrize("policy", ["fail_fast", "continue"])
+def test_keyboard_interrupt_in_a_task_propagates_at_jobs1(policy):
+    """Ctrl-C inside an in-process task is not a task failure: it leaves
+    ``run_graph`` as ``KeyboardInterrupt``, never as ``TaskError``, and
+    no later task runs."""
+    visits: list[str] = []
+    graph = TaskGraph([
+        TaskSpec(key="ctrl-c", fn=tasklib.INTERRUPT),
+        TaskSpec(key="later", fn=tasklib.VISIT, config={"key": "later"},
+                 payload=visits),
+    ])
+    with pytest.raises(KeyboardInterrupt):
+        run_graph(graph, jobs=1, failure_policy=policy)
+    assert visits == []
 
 
 def test_telemetry_still_counts_tasks_finished_before_the_failure():

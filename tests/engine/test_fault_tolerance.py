@@ -7,7 +7,9 @@ the pool path:
   bit-identical to a never-failing run;
 * retry schedules are deterministic (exponential backoff + seeded
   jitter);
-* a hanging task trips its wall-clock timeout on the pool path;
+* a hanging task trips its wall-clock timeout on the pool path, and its
+  worker is killed rather than left running; ``jobs=1`` never enforces
+  a timeout;
 * ``failure_policy="continue"`` finishes every independent task, skips
   the failed subgraph transitively, and reports it in a ``RunReport``;
 * after a simulated crash, a rerun against the warm cache recomputes
@@ -16,7 +18,11 @@ the pool path:
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -99,6 +105,27 @@ def test_retries_exhausted_raises_task_error_with_attempts(tmp_path, jobs):
     assert "flaky failure 3/5" in excinfo.value.detail
 
 
+def test_jobs1_runs_other_ready_tasks_while_one_backs_off(tmp_path):
+    """At ``jobs=1`` a retrying task does not hold up its siblings: the
+    task declared after it runs during its backoff, and the retried
+    result is still bit-identical to a never-failing run."""
+    visits: list[str] = []
+    flaky = TaskSpec(
+        key="flaky", fn=tasklib.FLAKY_DRAW,
+        config={"scratch": str(tmp_path), "fail_times": 1, "scale": 2.0},
+        max_retries=1, retry_delay=0.2,
+    )
+    other = TaskSpec(key="other", fn=tasklib.VISIT,
+                     config={"key": "other"}, payload=visits)
+    report = run_graph_report(TaskGraph([flaky, other]), jobs=1,
+                              root_seed=7)
+    assert report.succeeded == ["other", "flaky"]
+    assert visits == ["other"]
+    clean = run_graph(TaskGraph([clean_draw_spec(), other]), jobs=1,
+                      root_seed=7)
+    assert report.results["flaky"] == clean["flaky"]
+
+
 def test_retried_success_is_cached_and_warm_replay_matches(tmp_path):
     cache = ArtifactCache(tmp_path / "cache")
     graph = [flaky_spec(tmp_path / "scratch", 1, 2)]
@@ -142,6 +169,59 @@ def test_hanging_task_trips_timeout_promptly():
     assert excinfo.value.key == "hung"
     assert "timeout" in excinfo.value.detail
     assert elapsed < 10.0  # far below the 30s hang
+
+
+_HUNG_WORKER_PROBE = """
+import multiprocessing
+import sys
+
+from repro.engine import TaskGraph, TaskSpec, TaskTimeout, run_graph_report
+from tests.engine import tasklib
+
+graph = TaskGraph([TaskSpec(key="hung", fn=tasklib.HANG,
+                            config={"seconds": 30.0}, timeout=0.3)])
+try:
+    outcome = run_graph_report(
+        graph, jobs=2, failure_policy=sys.argv[1]
+    ).failed[0].kind
+except TaskTimeout:
+    outcome = "raised"
+print(outcome, len(multiprocessing.active_children()))
+"""
+
+
+@pytest.mark.parametrize(
+    "policy, outcome", [("fail_fast", "raised"), ("continue", "timeout")]
+)
+def test_timed_out_worker_is_killed_before_the_run_ends(policy, outcome):
+    """The hung worker does not sleep out its 30 s: no child process is
+    alive once ``run_graph_report`` returns or raises, and the
+    interpreter exits at once instead of waiting for the worker."""
+    root = Path(__file__).resolve().parents[2]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(root / "src"), str(root), env.get("PYTHONPATH")) if p
+    )
+    started = time.monotonic()
+    probe = subprocess.run(
+        [sys.executable, "-c", _HUNG_WORKER_PROBE, policy],
+        cwd=root, env=env, capture_output=True, text=True, check=True,
+        timeout=60,
+    )
+    assert time.monotonic() - started < 10.0
+    assert probe.stdout.split() == [outcome, "0"]
+
+
+def test_jobs1_never_enforces_timeouts():
+    """The in-process executor cannot interrupt a call, so a task that
+    outlives its budget at ``jobs=1`` still completes."""
+    graph = TaskGraph([
+        TaskSpec(key="slow", fn=tasklib.SLEEPY,
+                 config={"value": 4, "seconds": 0.5}, timeout=0.2),
+    ])
+    stats = EngineTelemetry()
+    assert run_graph(graph, jobs=1, telemetry=stats) == {"slow": 4}
+    assert stats.n_timeouts == 0
 
 
 def test_timeout_under_continue_finishes_independent_tasks():
