@@ -10,19 +10,28 @@ stand-in for a machine that is presumably up but no longer observed.
 
 Freshness is measured in aggregator ticks, not wall-clock time, so the
 decay schedule is deterministic under replay at any speed multiple.
+
+A tick is one pass over the live sessions: each builds one
+:class:`MachineContribution` named tuple and the decaying terms are
+counted on the way; departed machines are swept only on a tick that
+has some.  The total is a left-to-right ``sum`` over the contributions
+in session order.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from repro.serving.session import MachineSession
 
 
-@dataclass(frozen=True)
-class MachineContribution:
-    """One machine's term in the Eq. 5 sum for one tick."""
+class MachineContribution(NamedTuple):
+    """One machine's term in the Eq. 5 sum for one tick.
+
+    A named tuple, built once per session per tick: immutable, compared
+    field by field, and iterable and indexable like any tuple.
+    """
 
     machine_id: str
     power_w: float
@@ -90,57 +99,52 @@ class ClusterAggregator:
         if self.decay_ticks < 1:
             raise ValueError("decay_ticks must be positive")
 
-    def _contribution(self, session: MachineSession) -> MachineContribution:
-        state = self._freshness.setdefault(
-            session.machine_id, _Freshness()
-        )
-        if session.n_scored != state.n_scored_seen:
-            state.n_scored_seen = session.n_scored
-            state.staleness_ticks = 0
-        else:
-            state.staleness_ticks += 1
-
-        floor_w = session.idle_floor_w
-        last_w = session.last_power_w
-        if last_w is None:
-            # Never scored: all we know about the machine is its floor.
-            return MachineContribution(
-                machine_id=session.machine_id,
-                power_w=floor_w,
-                staleness_ticks=state.staleness_ticks,
-                decayed=True,
-            )
-        silent = state.staleness_ticks - self.fresh_ticks
-        if silent <= 0:
-            return MachineContribution(
-                machine_id=session.machine_id,
-                power_w=last_w,
-                staleness_ticks=state.staleness_ticks,
-                decayed=False,
-            )
-        ramp = min(1.0, silent / self.decay_ticks)
-        power_w = last_w + (floor_w - last_w) * ramp
-        return MachineContribution(
-            machine_id=session.machine_id,
-            power_w=power_w,
-            staleness_ticks=state.staleness_ticks,
-            decayed=True,
-        )
-
     def tick(self, sessions: Iterable[MachineSession]) -> ClusterEstimate:
-        """Advance one tick and sum the fleet (Eq. 5)."""
+        """Advance one tick and sum the fleet (Eq. 5).
+
+        ``sessions`` holds at most one session per machine id, as a
+        shard's session map does.
+        """
         self._tick += 1
+        freshness = self._freshness
         contributions = []
-        seen = set()
+        n_decaying = 0
         for session in sessions:
-            contributions.append(self._contribution(session))
-            seen.add(session.machine_id)
-        # Sessions that disconnected leave the sum entirely; drop their
-        # freshness state so a reconnect starts clean.
-        for machine_id in list(self._freshness):
-            if machine_id not in seen:
-                del self._freshness[machine_id]
-        n_decaying = sum(1 for c in contributions if c.decayed)
+            machine_id = session.machine_id
+            state = freshness.get(machine_id)
+            if state is None:
+                state = freshness[machine_id] = _Freshness()
+            if session.n_scored != state.n_scored_seen:
+                state.n_scored_seen = session.n_scored
+                state.staleness_ticks = staleness = 0
+            else:
+                state.staleness_ticks = staleness = state.staleness_ticks + 1
+            last_w = session.last_power_w
+            if last_w is None:
+                # Never scored: all we know about the machine is its floor.
+                power_w = session.idle_floor_w
+                decayed = True
+            else:
+                silent = staleness - self.fresh_ticks
+                if silent <= 0:
+                    power_w = last_w
+                    decayed = False
+                else:
+                    floor_w = session.idle_floor_w
+                    ramp = min(1.0, silent / self.decay_ticks)
+                    power_w = last_w + (floor_w - last_w) * ramp
+                    decayed = True
+            n_decaying += decayed
+            contributions.append(
+                MachineContribution(machine_id, power_w, staleness, decayed)
+            )
+        # Every live machine now has an entry, so a larger map holds
+        # machines that disconnected: they leave the sum entirely, and
+        # dropping their state lets a reconnect start clean.
+        if len(freshness) > len(contributions):
+            live = {c.machine_id for c in contributions}
+            for machine_id in [m for m in freshness if m not in live]:
+                del freshness[machine_id]
         return ClusterEstimate(
             tick=self._tick,
             total_power_w=sum(c.power_w for c in contributions),

@@ -21,12 +21,19 @@ Ordering and loss semantics are explicit and deterministic:
 * when the buffer is full the **oldest** pending sample is shed and
   counted (``shed_dropped``) — bounded memory with explicit
   backpressure, never unbounded growth.
+
+The per-sample records are cheap to build: a buffered sample is a
+slotted object, and each delivery is a :class:`ScoredSample` named
+tuple (a frozen dataclass sets every field through
+``object.__setattr__``, which made each record cost nearly three times
+as much).
 """
 
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -63,9 +70,12 @@ class SessionConfig:
             raise ValueError("gap_tolerance must be positive")
 
 
-@dataclass(frozen=True)
-class ScoredSample:
-    """One delivered prediction."""
+class ScoredSample(NamedTuple):
+    """One delivered prediction.
+
+    A named tuple, built once per scored sample: immutable, compared
+    field by field, and iterable and indexable like any tuple.
+    """
 
     machine_id: str
     t: int
@@ -75,11 +85,20 @@ class ScoredSample:
     model_version: str
 
 
-@dataclass
 class _PendingSample:
-    counters: dict[str, float]
-    meter_w: float | None
-    synthesized: bool = False
+    """One buffered sample; ``synthesized`` marks a patched-in gap."""
+
+    __slots__ = ("counters", "meter_w", "synthesized")
+
+    def __init__(
+        self,
+        counters: dict[str, float],
+        meter_w: float | None,
+        synthesized: bool = False,
+    ):
+        self.counters = counters
+        self.meter_w = meter_w
+        self.synthesized = synthesized
 
 
 class MachineSession:
@@ -230,7 +249,9 @@ class MachineSession:
         """
         self._draining = True
 
-    def take_ready(self, limit: int | None = None) -> list[tuple[int, "_PendingSample"]]:
+    def take_ready(
+        self, limit: int | None = None
+    ) -> list[tuple[int, "_PendingSample"]]:
         """Pop samples ready to score, in strict ``t`` order.
 
         A missing index is synthesized as a fully-patched sample once

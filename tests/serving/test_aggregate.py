@@ -3,10 +3,18 @@
 from __future__ import annotations
 
 import json
+import pickle
 
 import pytest
 
-from repro.serving import ClusterAggregator, MachineSession, MicroBatchScorer
+from repro.serving import (
+    ClusterAggregator,
+    MachineContribution,
+    MachineSession,
+    MicroBatchScorer,
+    ScoredSample,
+)
+from tests.serving.plain_aggregate import PlainClusterAggregator
 
 
 def _scored_session(scenario, machine_id, log, n=5):
@@ -101,7 +109,40 @@ def test_disconnected_machine_leaves_the_sum(scenario, holdout_log):
 
 def test_estimate_payload_is_json_safe(scenario, holdout_log):
     session = _scored_session(scenario, "m0", holdout_log)
-    estimate = ClusterAggregator().tick([session])
+    cold = MachineSession("cold", "Q@v1", scenario.bundle("Q"))
+    estimate = ClusterAggregator().tick([session, cold])
     payload = estimate.to_payload()
-    json.dumps(payload)
     assert payload["machines"][0]["machine_id"] == "m0"
+    # The same JSON the dataclass records serialized to.
+    oracle = PlainClusterAggregator().tick([session, cold])
+    assert json.dumps(payload) == json.dumps(oracle.to_payload())
+
+
+@pytest.mark.parametrize(
+    "record, fields",
+    [
+        (
+            ScoredSample("m0", 7, 81.5, False, True, "Q@v1"),
+            ("machine_id", "t", "power_w", "patched", "drifting",
+             "model_version"),
+        ),
+        (
+            MachineContribution("m0", 81.5, 3, True),
+            ("machine_id", "power_w", "staleness_ticks", "decayed"),
+        ),
+    ],
+)
+def test_delivery_records_keep_their_contract(record, fields):
+    """Each record is a named tuple with the dataclass record's fields,
+    in the same order; it stays immutable and pickles across a process
+    shard's pipe."""
+    assert type(record)._fields == fields
+    for name in fields:
+        with pytest.raises(AttributeError):
+            setattr(record, name, None)
+    with pytest.raises(AttributeError):
+        record.extra = None
+    restored = pickle.loads(pickle.dumps(record))
+    assert type(restored) is type(record)
+    assert restored == record
+    assert repr(restored) == repr(record)

@@ -13,8 +13,10 @@ import numpy as np
 import pytest
 
 from repro.serving import (
+    MachineContribution,
     MachineSession,
     ModelRegistry,
+    ScoredSample,
     ShardError,
     ShardWorker,
     worker_config,
@@ -338,6 +340,11 @@ def test_process_host_round_trips_commands_and_errors(
         np.testing.assert_array_equal(
             [s.power_w for s in result.scored], offline[:6]
         )
+        # The delivery records come back through the pipe as themselves.
+        assert {type(s) for s in result.scored} == {ScoredSample}
+        assert [
+            type(c) for c in result.partial.contributions
+        ] == [MachineContribution]
         assert [mid for mid, _ in result.drained] == ["m0"]
         snap = host.call("snapshot")
         assert snap["samples_scored"] == 6
