@@ -3,10 +3,9 @@
 Decomposes experiment pipelines into a work graph of declaratively
 specified tasks, executes them with one scheduler — in the calling
 process at ``jobs=1``, on a process pool above that — with bit-identical
-results, retries flaky tasks with deterministic backoff, bounds hung
-pool tasks with wall-clock timeouts, and backs cacheable tasks with a
-checksummed, content-addressed on-disk artifact cache — which is also
-what makes interrupted runs resumable.  See ``docs/engine.md``.
+results, and backs cacheable tasks with a checksummed, content-addressed
+on-disk artifact cache — which is also what makes interrupted runs
+resumable.  See ``docs/engine.md``.
 """
 
 from repro.engine.cache import (
@@ -24,9 +23,7 @@ from repro.engine.executor import (
     RunReport,
     TaskError,
     TaskFailure,
-    TaskTimeout,
     derive_task_seeds,
-    retry_delay,
     run_graph,
     run_graph_report,
 )
@@ -65,7 +62,6 @@ __all__ = [
     "TaskFailure",
     "TaskGraph",
     "TaskSpec",
-    "TaskTimeout",
     "atomic_write_json",
     "cache_key",
     "canonical_json",
@@ -80,7 +76,6 @@ __all__ = [
     "resolve_callable",
     "resolve_failure_policy",
     "resolve_jobs",
-    "retry_delay",
     "run_graph",
     "run_graph_report",
     "set_default_options",

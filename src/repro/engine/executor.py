@@ -1,46 +1,35 @@
 """The executor: one scheduler runs a task graph at every ``jobs`` value.
 
 The scheduler launches a task as soon as its dependencies are done and
-keeps at most ``jobs`` attempts in flight.  Only the executor it submits
-to depends on ``jobs``: at ``jobs=1`` an in-process executor runs each
-attempt in the calling process at submit time and returns an already
-settled future, so tasks run in the graph's topological order while no
-task is backing off; at ``jobs>1`` a ``ProcessPoolExecutor`` runs each
-attempt in a worker.
+keeps at most ``jobs`` tasks in flight.  Only the executor it submits to
+depends on ``jobs``: at ``jobs=1`` an in-process executor runs each task
+in the calling process at submit time and returns an already settled
+future, so tasks run in the graph's topological order; at ``jobs>1`` a
+``ProcessPoolExecutor`` runs each task in a worker.
 
 Determinism contract: a task's result depends only on (config, payload,
 dependency results, derived seed) — never on scheduling.  Per-task seeds
 are spawned from the root seed with ``numpy.random.SeedSequence`` against
-the *sorted* task keys, so adding workers, reordering completions,
-retrying a flaky task, or resuming from a warm cache cannot change any
-task's random stream.  Both executors run the identical task function,
-and every cacheable result is normalized through the canonical JSON
-round-trip *inside the attempt itself*, so cold computes and warm-cache
-replays are bit-identical — which is what the golden-result suite pins —
-and a cacheable task that returns a non-JSON-serializable value fails
-like any other task (retries and the failure policy apply; mark the task
-``cacheable=False`` to return arbitrary objects).
+the *sorted* task keys, so adding workers, reordering completions, or
+resuming from a warm cache cannot change any task's random stream.  Both
+executors run the identical task function, and every cacheable result is
+normalized through the canonical JSON round-trip *inside the task run
+itself*, so cold computes and warm-cache replays are bit-identical —
+which is what the golden-result suite pins — and a cacheable task that
+returns a non-JSON-serializable value fails like any other task (the
+failure policy applies; mark the task ``cacheable=False`` to return
+arbitrary objects).
 
-Failure contract: each task gets ``1 + max_retries`` attempts, separated
-by deterministic exponential backoff (:func:`retry_delay`); a retried
-task re-runs with the *same* derived seed, so an eventual success is
-bit-identical to a never-failing run, and other ready tasks run while it
-backs off.  On a process pool each attempt is bounded by the task's
-wall-clock ``timeout``.  The timeout clock starts at ``pool.submit()``,
-and the scheduler keeps at most ``jobs`` futures in flight, so
-submission coincides with a free worker and queue-wait is never billed
-against a task's budget.  Timeouts are terminal — every worker of the
-pool, the hung one included, is killed and the pool rebuilt; in-flight
-siblings that already finished are settled normally (a completed failure
-is charged its attempt) and unfinished ones are requeued without being
-charged.  When a worker *dies* (``BrokenProcessPool``) every in-flight
-future is poisoned and the scheduler cannot tell the killer from
-bystanders: all victims are requeued uncharged and quarantined to re-run
-one at a time, so a repeat crash happens with exactly one task in flight
-and that task is charged a (retryable) failed attempt.  The in-process
-executor cannot interrupt a call, so at ``jobs=1`` no timeout is
-enforced, no task is quarantined and no pool is rebuilt.  What happens
-after a task exhausts its attempts is the run's ``failure_policy``:
+Failure contract: each task gets exactly one attempt and no wall-clock
+budget.  By the determinism contract a second attempt would re-run the
+same inputs with the same derived seed and raise again, so a retry
+cannot help.  When a worker *dies* (``BrokenProcessPool``) every
+in-flight future is poisoned and the scheduler cannot tell the killer
+from bystanders: the pool is rebuilt and all victims are quarantined to
+re-run one at a time, so a repeat crash happens with exactly one task in
+flight and only that task fails.  The in-process executor never breaks,
+so at ``jobs=1`` no task is quarantined and no pool is rebuilt.  What
+happens after a task fails is the run's ``failure_policy``:
 
 * ``"fail_fast"`` (default, the historical behavior): abort immediately
   with a :class:`TaskError` naming the task and carrying the worker
@@ -61,7 +50,6 @@ failed tasks.
 
 from __future__ import annotations
 
-import math
 import time
 import traceback
 from collections import deque
@@ -75,7 +63,7 @@ from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
-from numpy.random import SeedSequence, default_rng
+from numpy.random import SeedSequence
 
 from repro.engine.cache import MISS, ArtifactCache
 from repro.engine.codeversion import code_version
@@ -87,7 +75,6 @@ from repro.telemetry.engine_stats import (
     OUTCOME_COMPUTED,
     OUTCOME_FAILED,
     OUTCOME_SKIPPED,
-    OUTCOME_TIMEOUT,
     EngineTelemetry,
 )
 
@@ -97,28 +84,38 @@ FAILURE_POLICIES = (FAIL_FAST, CONTINUE)
 
 #: TaskFailure.kind values.
 KIND_ERROR = "error"
-KIND_TIMEOUT = "timeout"
 KIND_SKIPPED = "skipped"
 
-_RETRY_SALT = 0x52455452  # 'RETR': keeps backoff draws off task streams.
+
+def check_jobs(jobs: int) -> int:
+    """Return ``jobs`` if it is a worker count of at least 1, else raise.
+
+    The one check behind every entry point's ``jobs`` argument, the
+    CLI's ``--jobs`` and :class:`~repro.engine.options.EngineOptions`.
+    """
+    if jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {jobs!r}")
+    return jobs
+
+
+def check_failure_policy(failure_policy: str) -> str:
+    """Return ``failure_policy`` if it names a policy, else raise."""
+    if failure_policy not in FAILURE_POLICIES:
+        raise ValueError(
+            f"failure_policy must be one of {FAILURE_POLICIES}, "
+            f"got {failure_policy!r}"
+        )
+    return failure_policy
 
 
 class TaskError(RuntimeError):
     """A task failed; carries the task key and the worker's traceback."""
 
-    def __init__(self, key: str, fn: str, detail: str, attempts: int = 1):
+    def __init__(self, key: str, fn: str, detail: str):
         self.key = key
         self.fn = fn
         self.detail = detail
-        self.attempts = attempts
-        tries = f" after {attempts} attempts" if attempts > 1 else ""
-        super().__init__(
-            f"task {key!r} ({fn}) failed{tries}:\n{detail}"
-        )
-
-
-class TaskTimeout(TaskError):
-    """A task exceeded its wall-clock timeout on a process pool."""
+        super().__init__(f"task {key!r} ({fn}) failed:\n{detail}")
 
 
 @dataclass(frozen=True)
@@ -128,14 +125,11 @@ class TaskFailure:
     key: str
     fn: str
     kind: str
-    """``error`` (raised), ``timeout`` (exceeded its budget), or
-    ``skipped`` (an upstream dependency died)."""
-
-    attempts: int
-    """Execution attempts made (0 for skipped tasks)."""
+    """``error`` (raised, or its worker died) or ``skipped`` (an
+    upstream dependency failed)."""
 
     detail: str
-    """The last attempt's traceback, or the skip/timeout reason."""
+    """The task's traceback, or the skip reason."""
 
 
 @dataclass
@@ -170,8 +164,7 @@ class RunReport:
         if not self.failed:
             return
         first = self.failed[0]
-        error = TaskTimeout if first.kind == KIND_TIMEOUT else TaskError
-        raise error(first.key, first.fn, first.detail, first.attempts)
+        raise TaskError(first.key, first.fn, first.detail)
 
     def render(self) -> str:
         """Human-readable summary with one line per dead task."""
@@ -182,26 +175,12 @@ class RunReport:
         for failure in self.failed:
             last = failure.detail.strip().splitlines()[-1:]
             lines.append(
-                f"  FAILED  {failure.key} ({failure.fn}) "
-                f"[{failure.kind}, {failure.attempts} attempt(s)]: "
+                f"  FAILED  {failure.key} ({failure.fn}): "
                 f"{last[0] if last else ''}"
             )
         for failure in self.skipped:
             lines.append(f"  skipped {failure.key}: {failure.detail}")
         return "\n".join(lines)
-
-
-def retry_delay(task: TaskSpec, seed: SeedSequence, attempt: int) -> float:
-    """Backoff before retry ``attempt`` (0-based): exponential + jitter.
-
-    The jitter draw is seeded from the task's own ``SeedSequence`` state
-    plus the attempt index (without consuming the task's stream), so
-    retry schedules are reproducible run to run while distinct tasks
-    still de-synchronize.
-    """
-    words = [int(word) for word in seed.generate_state(4)]
-    rng = default_rng(words + [_RETRY_SALT, attempt])
-    return task.retry_delay * (2 ** attempt) * (0.5 + rng.random())
 
 
 def derive_task_seeds(
@@ -232,11 +211,10 @@ def _execute(
     """Run one task (in a worker or inline); returns (result, seconds).
 
     ``canonicalize`` (set for cacheable tasks) round-trips the result
-    through the canonical JSON encoding *inside* the attempt, so a
-    non-serializable result is an ordinary task failure — captured,
-    retried, and subject to the run's failure policy like any exception
-    the task body raises — at every ``jobs`` value, whether or not a
-    cache is attached.
+    through the canonical JSON encoding *inside* the task run, so a
+    non-serializable result is an ordinary task failure — captured and
+    subject to the run's failure policy like any exception the task body
+    raises — at every ``jobs`` value, whether or not a cache is attached.
     """
     started = time.perf_counter()
     fn = resolve_callable(fn_path)
@@ -292,21 +270,16 @@ def run_graph_report(
     """Execute the graph and report per-task outcomes.
 
     Every ``jobs`` value runs on the same scheduler: ``jobs=1`` runs each
-    attempt in the calling process (never starting a process pool, never
-    enforcing ``TaskSpec.timeout``); ``jobs>1`` runs attempts on a
-    ``ProcessPoolExecutor``.  Either way, cacheable tasks are first looked
-    up in ``cache`` (missing/corrupt entries are recomputed) and stored
-    after success.  Under ``failure_policy="fail_fast"`` the first
-    terminal failure raises; under ``"continue"`` failures land in the
-    returned :class:`RunReport` instead.
+    task in the calling process (never starting a process pool);
+    ``jobs>1`` runs tasks on a ``ProcessPoolExecutor``.  Either way,
+    cacheable tasks are first looked up in ``cache`` (missing/corrupt
+    entries are recomputed) and stored after success.  Under
+    ``failure_policy="fail_fast"`` the first failure raises; under
+    ``"continue"`` failures land in the returned :class:`RunReport`
+    instead.
     """
-    if jobs < 1:
-        raise ValueError("jobs must be >= 1")
-    if failure_policy not in FAILURE_POLICIES:
-        raise ValueError(
-            f"failure_policy must be one of {FAILURE_POLICIES}, "
-            f"got {failure_policy!r}"
-        )
+    check_jobs(jobs)
+    check_failure_policy(failure_policy)
     order = graph.topological_order()
     seeds = derive_task_seeds(root_seed, [task.key for task in order])
     version = code_version() if cache is not None else ""
@@ -356,7 +329,6 @@ def _skip_failure(task: TaskSpec, cause: TaskFailure) -> TaskFailure:
         key=task.key,
         fn=task.fn,
         kind=KIND_SKIPPED,
-        attempts=0,
         detail=f"upstream task {cause.key!r} {cause.kind}",
     )
 
@@ -365,9 +337,9 @@ class _InProcessExecutor:
     """The ``jobs=1`` executor: ``submit`` runs the call right away.
 
     It returns an already-settled future, so the scheduler never waits
-    on it, never sees its deadline expire and never sees a broken pool.
-    Only ``Exception`` is captured: ``KeyboardInterrupt`` propagates out
-    of ``submit`` as it would from any inline call.
+    on it and never sees a broken pool.  Only ``Exception`` is captured:
+    ``KeyboardInterrupt`` propagates out of ``submit`` as it would from
+    any inline call.
     """
 
     def submit(self, fn: Callable[..., Any], *args: Any) -> Future:
@@ -391,9 +363,9 @@ def _new_executor(jobs: int) -> _InProcessExecutor | ProcessPoolExecutor:
 def _shutdown_now(pool: _InProcessExecutor | ProcessPoolExecutor) -> None:
     """Kill every worker process of ``pool``, then shut it down.
 
-    Killing is what stops a hung task: ``shutdown`` alone lets a running
-    call finish, so a live worker would outlive the run and hold up
-    interpreter exit.  The workers are read before ``shutdown``, which
+    Killing is what stops a running task: ``shutdown`` alone lets a
+    running call finish, so a live worker would outlive the run and hold
+    up interpreter exit.  The workers are read before ``shutdown``, which
     drops the pool's worker table; once it returns, the pool's manager
     thread has reaped every killed worker.
     """
@@ -412,9 +384,6 @@ def _schedule(
     ready = deque(task.key for task in order if not task.deps)
     results = report.results
     artifact_keys: dict[str, str] = {}
-    attempts: dict[str, int] = {}
-    # Tasks in deterministic backoff: (monotonic wake time, key).
-    sleeping: list[tuple[float, str]] = []
     # Root-cause failure for every dead (failed or skipped) task key.
     dead: dict[str, TaskFailure] = {}
     # Tasks swept off a broken pool (worker death poisons every in-flight
@@ -443,26 +412,13 @@ def _schedule(
             telemetry.record(key, specs[key].fn, 0.0, OUTCOME_SKIPPED)
             stack.extend(dependents[key])
 
-    def _terminal_failure(
-        key: str,
-        kind: str,
-        n_attempts: int,
-        detail: str,
-        seconds: float,
-        error: BaseException | None = None,
-    ) -> None:
-        """Settle a task that is out of attempts, per the failure policy."""
+    def _settle_failure(key: str, detail: str, error: BaseException) -> None:
+        """Settle a failed task, whatever failed it, per the policy."""
         task = specs[key]
-        outcome = OUTCOME_TIMEOUT if kind == KIND_TIMEOUT else OUTCOME_FAILED
-        telemetry.record(
-            key, task.fn, seconds, outcome, retries=n_attempts - 1
-        )
+        telemetry.record(key, task.fn, 0.0, OUTCOME_FAILED)
         if failure_policy == FAIL_FAST:
-            error_type = TaskTimeout if kind == KIND_TIMEOUT else TaskError
-            raise error_type(
-                key, task.fn, detail, attempts=n_attempts
-            ) from error
-        failure = TaskFailure(key, task.fn, kind, n_attempts, detail)
+            raise TaskError(key, task.fn, detail) from error
+        failure = TaskFailure(key, task.fn, KIND_ERROR, detail)
         report.failed.append(failure)
         dead[key] = failure
         _kill_subgraph(failure)
@@ -473,26 +429,8 @@ def _schedule(
         if task.cacheable and cache is not None:
             cache.put(artifact_keys[key], result)
         report.succeeded.append(key)
-        telemetry.record(
-            key, task.fn, seconds, OUTCOME_COMPUTED,
-            retries=attempts.get(key, 0),
-        )
+        telemetry.record(key, task.fn, seconds, OUTCOME_COMPUTED)
         ready.extend(_resolve_done(key))
-
-    def _charge_failure(
-        key: str, detail: str, error: BaseException
-    ) -> None:
-        """Account one failed attempt: back off or settle the task."""
-        task = specs[key]
-        n_attempts = attempts.get(key, 0) + 1
-        attempts[key] = n_attempts
-        if n_attempts <= task.max_retries:
-            wake = time.monotonic() + retry_delay(
-                task, seeds[key], n_attempts - 1
-            )
-            sleeping.append((wake, key))
-            return
-        _terminal_failure(key, KIND_ERROR, n_attempts, detail, 0.0, error)
 
     def _launch(key: str) -> None:
         """Cache-check ``key`` and submit it to the pool on a miss."""
@@ -517,38 +455,19 @@ def _schedule(
             task.cacheable,
         )
         futures[future] = key
-        deadlines[future] = (
-            time.monotonic() + task.timeout
-            if task.timeout is not None else math.inf
-        )
-
-    def _rebuild_pool() -> None:
-        nonlocal pool
-        _shutdown_now(pool)
-        pool = _new_executor(jobs)
 
     pool = _new_executor(jobs)
     futures: dict[Future, str] = {}
-    deadlines: dict[Future, float] = {}
     try:
-        while ready or quarantine or futures or sleeping:
-            # Promote retries whose backoff has elapsed.
-            if sleeping:
-                now = time.monotonic()
-                due = [entry for entry in sleeping if entry[0] <= now]
-                if due:
-                    sleeping = [e for e in sleeping if e[0] > now]
-                    ready.extend(key for _, key in due)
-
+        while ready or quarantine or futures:
             # Launch work.  Quarantined suspects run strictly alone so
             # the next worker death has a single possible culprit; while
             # any are pending, nothing else is submitted.  Normal
             # launches are throttled to at most ``jobs`` in-flight
-            # futures: a task's timeout clock starts at submit, so
-            # letting submissions queue behind busy workers would bill
-            # queue-wait against the task's wall-clock budget.  Cache
-            # hits short-circuit without touching the pool and may
-            # release dependents.
+            # futures, so a worker death poisons only tasks that were
+            # running and ``jobs=1`` settles each task before launching
+            # the next.  Cache hits short-circuit without touching the
+            # pool and may release dependents.
             while quarantine and not futures:
                 key = quarantine.popleft()
                 if key in dead:
@@ -567,89 +486,15 @@ def _schedule(
                         ready.appendleft(key)
                         break
                     _launch(key)
-
             if not futures:
-                if not ready and sleeping:
-                    # Everything live is backing off; sleep to the first
-                    # wake-up instead of spinning.
-                    wake = min(entry[0] for entry in sleeping)
-                    pause = wake - time.monotonic()
-                    if pause > 0:
-                        time.sleep(pause)
                 continue
 
-            # Wait for a completion, the nearest timeout deadline, or
-            # the nearest retry wake-up — whichever comes first.  An
-            # in-process future is settled at submit, so it always
-            # completes here and its deadline never expires.
-            horizons = [d for d in deadlines.values() if d != math.inf]
-            horizons.extend(entry[0] for entry in sleeping)
-            wait_timeout = (
-                max(0.0, min(horizons) - time.monotonic())
-                if horizons else None
-            )
-            done, _ = wait(
-                futures, timeout=wait_timeout, return_when=FIRST_COMPLETED
-            )
-
-            if not done:
-                now = time.monotonic()
-                expired = [f for f, dl in deadlines.items() if dl <= now]
-                if not expired:
-                    continue  # a retry came due; loop back and launch it
-                for future in expired:
-                    key = futures.pop(future)
-                    deadlines.pop(future)
-                    task = specs[key]
-                    n_attempts = attempts.get(key, 0) + 1
-                    attempts[key] = n_attempts
-                    detail = (
-                        f"task exceeded its {task.timeout}s wall-clock "
-                        "timeout on the process pool"
-                    )
-                    _terminal_failure(
-                        key, KIND_TIMEOUT, n_attempts, detail, task.timeout
-                    )
-                # The hung workers are unrecoverable.  Snapshot every
-                # other in-flight future *before* killing the pool: a
-                # future that already finished is settled exactly as the
-                # normal completion path would — a success succeeds, a
-                # completed failure is charged its attempt (a timeout
-                # elsewhere must never grant a sibling a free retry) —
-                # while unfinished tasks are requeued on the fresh pool
-                # without being charged, since they never got to finish.
-                finished: list[tuple[str, BaseException | None, Any, float]]
-                finished = []
-                survivors = []
-                for future in list(futures):
-                    key = futures.pop(future)
-                    deadlines.pop(future)
-                    if not future.done():
-                        survivors.append(key)
-                        continue
-                    error = future.exception()
-                    if error is None:
-                        result, seconds = future.result()
-                        finished.append((key, None, result, seconds))
-                    elif isinstance(error, BrokenProcessPool):
-                        # The pool died under it; guilt is unknowable, so
-                        # treat it like an unfinished survivor.
-                        survivors.append(key)
-                    else:
-                        finished.append((key, error, None, 0.0))
-                _rebuild_pool()
-                for key, error, result, seconds in finished:
-                    if error is None:
-                        _finish_success(key, result, seconds)
-                    else:
-                        _charge_failure(key, _format_error(error), error)
-                ready.extend(k for k in survivors if k not in dead)
-                continue
-
+            # An in-process future is settled at submit, so it is done
+            # here at once.
+            done, _ = wait(futures, return_when=FIRST_COMPLETED)
             broken: list[tuple[str, BaseException]] = []
             for future in done:
                 key = futures.pop(future)
-                deadlines.pop(future)
                 error = future.exception()
                 if error is None:
                     result, seconds = future.result()
@@ -657,27 +502,26 @@ def _schedule(
                 elif isinstance(error, BrokenProcessPool):
                     broken.append((key, error))
                 else:
-                    _charge_failure(key, _format_error(error), error)
+                    _settle_failure(key, _format_error(error), error)
             if broken:
                 # A dead worker poisons every in-flight future with
                 # BrokenProcessPool, so the scheduler cannot tell the
                 # worker-killer from innocent bystanders.  With several
-                # victims, sweep them all off the dead pool uncharged
-                # and quarantine them: the launch loop re-runs suspects
-                # one at a time, so a repeat crash lands in the
-                # single-victim branch below and is charged — bystanders
-                # keep their full retry budget, and a deterministic
-                # killer still converges to a terminal failure.
+                # victims, sweep them all off the dead pool and
+                # quarantine them: the launch loop re-runs suspects one
+                # at a time, so a repeat crash lands in the single-victim
+                # branch below and fails only the killer, while each
+                # bystander still gets its one complete run.
                 victims = [key for key, _ in broken]
                 victims.extend(futures.values())
                 futures.clear()
-                deadlines.clear()
-                _rebuild_pool()
+                _shutdown_now(pool)
+                pool = _new_executor(jobs)
                 if len(victims) == 1:
-                    # Alone in flight when the worker died: charge it a
-                    # normal (retryable) failed attempt.
+                    # Alone in flight when the worker died: it is the
+                    # killer.
                     key, error = broken[0]
-                    _charge_failure(
+                    _settle_failure(
                         key, f"worker process died: {error}", error
                     )
                 else:

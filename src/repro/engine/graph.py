@@ -3,8 +3,7 @@
 ``TaskGraph`` validates eagerly (duplicate keys at ``add`` time, unknown
 dependencies and cycles at ``topological_order`` time) and orders
 deterministically: ready tasks are emitted in insertion order.  At
-``jobs=1`` the executor visits tasks in exactly ``topological_order()``
-while no task is backing off for a retry.
+``jobs=1`` the executor visits tasks in exactly ``topological_order()``.
 """
 
 from __future__ import annotations

@@ -9,7 +9,8 @@ directory come from the ``REPRO_JOBS`` / ``REPRO_CACHE_DIR`` environment
 variables (CI runs the suite under ``REPRO_JOBS=2``) and the failure
 policy is ``fail_fast``.  That lets a flag on ``repro reproduce``
 parallelize every sweep inside an experiment driver without threading
-arguments through each one.
+arguments through each one.  A ``jobs`` below 1, from any of these
+sources, raises ``ValueError`` rather than quietly running serially.
 """
 
 from __future__ import annotations
@@ -18,7 +19,11 @@ import os
 from dataclasses import dataclass
 
 from repro.engine.cache import ArtifactCache
-from repro.engine.executor import FAIL_FAST, FAILURE_POLICIES
+from repro.engine.executor import (
+    FAIL_FAST,
+    check_failure_policy,
+    check_jobs,
+)
 
 ENV_JOBS = "REPRO_JOBS"
 ENV_CACHE_DIR = "REPRO_CACHE_DIR"
@@ -33,13 +38,8 @@ class EngineOptions:
     failure_policy: str = FAIL_FAST
 
     def __post_init__(self):
-        if self.jobs < 1:
-            raise ValueError("jobs must be >= 1")
-        if self.failure_policy not in FAILURE_POLICIES:
-            raise ValueError(
-                f"failure_policy must be one of {FAILURE_POLICIES}, "
-                f"got {self.failure_policy!r}"
-            )
+        check_jobs(self.jobs)
+        check_failure_policy(self.failure_policy)
 
     def open_cache(self) -> ArtifactCache | None:
         if self.cache_dir is None:
@@ -69,21 +69,30 @@ def reset_default_options() -> None:
 
 
 def default_options() -> EngineOptions:
-    """The installed defaults, else environment-derived ones."""
+    """The installed defaults, else environment-derived ones.
+
+    An unset or empty ``REPRO_JOBS`` means one worker; any other value
+    must be an integer of at least 1, so a misspelled value fails loudly
+    instead of silently running serially.
+    """
     if _default is not None:
         return _default
     jobs_text = os.environ.get(ENV_JOBS, "")
     try:
-        jobs = max(1, int(jobs_text))
+        jobs = check_jobs(int(jobs_text)) if jobs_text else 1
     except ValueError:
-        jobs = 1
+        raise ValueError(
+            f"{ENV_JOBS} must be an integer >= 1, got {jobs_text!r}"
+        ) from None
     return EngineOptions(
         jobs=jobs, cache_dir=os.environ.get(ENV_CACHE_DIR) or None
     )
 
 
 def resolve_jobs(jobs: int | None) -> int:
-    return default_options().jobs if jobs is None else max(1, jobs)
+    """``None`` means the process-wide default; an explicit value below
+    1 raises."""
+    return default_options().jobs if jobs is None else check_jobs(jobs)
 
 
 def resolve_cache(cache: ArtifactCache | None | bool) -> ArtifactCache | None:
@@ -105,9 +114,4 @@ def resolve_failure_policy(failure_policy: str | None) -> str:
     configured); anything else must be a valid policy name."""
     if failure_policy is None:
         return default_options().failure_policy
-    if failure_policy not in FAILURE_POLICIES:
-        raise ValueError(
-            f"failure_policy must be one of {FAILURE_POLICIES}, "
-            f"got {failure_policy!r}"
-        )
-    return failure_policy
+    return check_failure_policy(failure_policy)

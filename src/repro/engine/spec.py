@@ -38,26 +38,6 @@ class TaskSpec:
     cacheable: bool = True
     """Whether the (JSON-serializable) result may be cached on disk."""
 
-    max_retries: int = 0
-    """Extra attempts after a failed execution (0 = fail immediately).
-
-    Retries re-run the task with the *same* derived seed, so a task that
-    eventually succeeds returns a result bit-identical to a run where it
-    never failed.  Retry scheduling (exponential backoff + jitter) is
-    derived deterministically from the task's seed stream — see
-    :func:`repro.engine.executor.retry_delay`.
-    """
-
-    retry_delay: float = 0.05
-    """Base backoff in seconds; attempt *k* waits ~``retry_delay * 2**k``
-    (jittered deterministically)."""
-
-    timeout: float | None = None
-    """Wall-clock budget in seconds for one attempt, enforced on a
-    process pool (``jobs > 1``) by killing the worker; ``None`` means
-    unbounded.  At ``jobs=1`` the attempt runs in the calling process,
-    which cannot be interrupted, so the budget is not enforced."""
-
     def __post_init__(self):
         if not self.key:
             raise ValueError("task key must be non-empty")
@@ -65,12 +45,6 @@ class TaskSpec:
             raise ValueError(
                 f"task fn must be a 'module:callable' path, got {self.fn!r}"
             )
-        if self.max_retries < 0:
-            raise ValueError("max_retries must be >= 0")
-        if self.retry_delay < 0:
-            raise ValueError("retry_delay must be >= 0")
-        if self.timeout is not None and self.timeout <= 0:
-            raise ValueError("timeout must be positive (or None)")
         if not isinstance(self.deps, tuple):
             object.__setattr__(self, "deps", tuple(self.deps))
 

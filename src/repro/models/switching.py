@@ -21,18 +21,17 @@ own model; smaller buckets fall back to the global linear model.  State-
 local fits see a narrow slice of each feature's range, so they need a
 comfortable margin to stay stable."""
 
+MAX_STATES = 8
+"""More distinct frequency levels than this are merged by quantile into
+this many P-states."""
+
 
 class SwitchingPowerModel(PowerModel):
     """Frequency-indexed family of linear models."""
 
     code = "S"
 
-    def __init__(
-        self,
-        feature_names: list[str],
-        switch_feature: str,
-        max_states: int = 8,
-    ):
+    def __init__(self, feature_names: list[str], switch_feature: str):
         super().__init__(feature_names)
         if switch_feature not in feature_names:
             raise ValueError(
@@ -46,7 +45,6 @@ class SwitchingPowerModel(PowerModel):
             )
         self.switch_feature = switch_feature
         self.switch_index = feature_names.index(switch_feature)
-        self.max_states = max_states
         self._state_values: np.ndarray | None = None
         self._state_fits: dict[int, OLSFit] = {}
         self._global_fit: OLSFit | None = None
@@ -65,9 +63,9 @@ class SwitchingPowerModel(PowerModel):
         span = float(finite.max() - finite.min())
         resolution = max(span / 20.0, 1e-9)
         levels = np.unique(np.round(finite / resolution))
-        if levels.size > self.max_states:
-            # Quantile-based merge down to max_states levels.
-            quantiles = np.linspace(0, 1, self.max_states + 1)[1:-1]
+        if levels.size > MAX_STATES:
+            # Quantile-based merge down to MAX_STATES levels.
+            quantiles = np.linspace(0, 1, MAX_STATES + 1)[1:-1]
             edges = np.quantile(finite, quantiles)
             levels = np.unique(
                 np.searchsorted(edges, finite)

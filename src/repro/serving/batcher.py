@@ -19,8 +19,8 @@ session's backlog, or in a fleet-wide batch — which is what makes
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
-from typing import Callable, Iterable
+from dataclasses import dataclass
+from typing import Iterable
 
 import numpy as np
 
@@ -38,8 +38,6 @@ class MicroBatchScorer:
     """Per-tick drain cap per session (None = drain everything ready);
     a bounded cap keeps one backlogged machine from dominating a tick."""
 
-    clock: Callable[[], float] = field(default=time.perf_counter)
-
     def tick(self, sessions: Iterable[MachineSession]) -> list[ScoredSample]:
         """Score every ready sample once; returns the deliveries.
 
@@ -47,7 +45,7 @@ class MicroBatchScorer:
         (a session's samples all land in one group per tick); deliveries
         from different sessions may interleave by model group.
         """
-        start_s = self.clock()
+        start_s = time.perf_counter()
         groups: dict[DriftBlock, _Group] = {}
         for session in sessions:
             ready = session.take_ready(self.max_samples_per_session)
@@ -69,7 +67,7 @@ class MicroBatchScorer:
             self.stats.record_batch(
                 n_samples=len(scored),
                 n_groups=n_groups,
-                latency_s=self.clock() - start_s,
+                latency_s=time.perf_counter() - start_s,
             )
         return scored
 

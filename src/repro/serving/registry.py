@@ -37,7 +37,7 @@ DEFAULT_MAX_DRE_REGRESSION = 0.02
 """Default gate: reject a candidate whose replay-window DRE exceeds the
 live model's by more than two DRE points."""
 
-DEFAULT_ABSOLUTE_DRE_LIMIT = 0.70
+ABSOLUTE_DRE_LIMIT = 0.70
 """With no live model to shadow, a candidate must at least beat this
 absolute DRE on the replay window (the paper's worst acceptable models
 sit far below it; a garbage bundle does not)."""
@@ -83,14 +83,14 @@ def shadow_score(
     live: ServingBundle | None,
     replay_log: PerfmonLog,
     max_dre_regression: float = DEFAULT_MAX_DRE_REGRESSION,
-    absolute_dre_limit: float = DEFAULT_ABSOLUTE_DRE_LIMIT,
 ) -> GateResult:
     """Score candidate (and live) on a held-out replay window.
 
     Both models predict the window's power from its counters; each gets
     a DRE against the metered series.  The candidate is accepted when it
     does not regress the live DRE by more than ``max_dre_regression``
-    (or, with no live model, when it beats ``absolute_dre_limit``).
+    (or, with no live model, when it beats
+    :data:`ABSOLUTE_DRE_LIMIT`).
     """
     candidate_dre = dynamic_range_error(
         replay_log.power_w,
@@ -98,12 +98,12 @@ def shadow_score(
         idle_power=candidate.idle_power_w,
     )
     if live is None:
-        accepted = candidate_dre <= absolute_dre_limit
+        accepted = candidate_dre <= ABSOLUTE_DRE_LIMIT
         reason = (
             "no live model; candidate within the absolute DRE limit"
             if accepted
             else f"no live model and candidate DRE exceeds the absolute "
-            f"limit {absolute_dre_limit:.2%}"
+            f"limit {ABSOLUTE_DRE_LIMIT:.2%}"
         )
         return GateResult(
             accepted=accepted,

@@ -69,6 +69,10 @@ DEFAULT_RING_REPLICAS = 64
 percent of even for realistic fleet sizes, cheap enough to build at
 start-up."""
 
+RING_SALT = "chaos-shard"
+"""Prefix of every virtual node's token; changing it moves every ring
+point, and so which shard owns each machine."""
+
 
 class HashRing:
     """Consistent hashing of machine IDs onto shard indices.
@@ -78,12 +82,7 @@ class HashRing:
     guarantee (and the tests) depend on.
     """
 
-    def __init__(
-        self,
-        n_shards: int,
-        replicas: int = DEFAULT_RING_REPLICAS,
-        salt: str = "chaos-shard",
-    ):
+    def __init__(self, n_shards: int, replicas: int = DEFAULT_RING_REPLICAS):
         if n_shards < 1:
             raise ValueError("need at least one shard")
         if replicas < 1:
@@ -92,7 +91,7 @@ class HashRing:
         points = []
         for shard in range(n_shards):
             for replica in range(replicas):
-                token = f"{salt}/{shard}/{replica}".encode()
+                token = f"{RING_SALT}/{shard}/{replica}".encode()
                 digest = hashlib.sha256(token).digest()
                 points.append(
                     (int.from_bytes(digest[:8], "big"), shard)

@@ -1,10 +1,10 @@
 """Per-task telemetry for the experiment engine.
 
-The executor records one :class:`TaskRecord` per task — how long it took,
-whether it was computed, served from the artifact cache, failed, timed
-out, or was skipped behind a failed dependency, and how many retries it
-needed — and :class:`EngineTelemetry` aggregates them into the hit-rate,
-retry and timing summary the CLI prints after a sweep.
+The executor records one :class:`TaskRecord` per task — how long it took
+and whether it was computed, served from the artifact cache, failed, or
+was skipped behind a failed dependency — and :class:`EngineTelemetry`
+aggregates them into the hit-rate and timing summary the CLI prints
+after a sweep.
 """
 
 from __future__ import annotations
@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 OUTCOME_COMPUTED = "computed"
 OUTCOME_CACHE_HIT = "cache-hit"
 OUTCOME_FAILED = "failed"
-OUTCOME_TIMEOUT = "timeout"
 OUTCOME_SKIPPED = "skipped"
 
 #: Outcomes that mean the task produced a result.
@@ -29,8 +28,6 @@ class TaskRecord:
     fn: str
     seconds: float
     outcome: str
-    retries: int = 0
-    """Failed attempts before this outcome (0 = first try)."""
 
 
 @dataclass
@@ -40,22 +37,9 @@ class EngineTelemetry:
     records: list[TaskRecord] = field(default_factory=list)
     wall_seconds: float = 0.0
 
-    def record(
-        self,
-        key: str,
-        fn: str,
-        seconds: float,
-        outcome: str,
-        retries: int = 0,
-    ) -> None:
+    def record(self, key: str, fn: str, seconds: float, outcome: str) -> None:
         self.records.append(
-            TaskRecord(
-                key=key,
-                fn=fn,
-                seconds=seconds,
-                outcome=outcome,
-                retries=retries,
-            )
+            TaskRecord(key=key, fn=fn, seconds=seconds, outcome=outcome)
         )
 
     # -- aggregates ----------------------------------------------------
@@ -79,21 +63,8 @@ class EngineTelemetry:
         return self._count(OUTCOME_FAILED)
 
     @property
-    def n_timeouts(self) -> int:
-        return self._count(OUTCOME_TIMEOUT)
-
-    @property
     def n_skipped(self) -> int:
         return self._count(OUTCOME_SKIPPED)
-
-    @property
-    def n_retried_tasks(self) -> int:
-        """Tasks that needed at least one retry (whatever the outcome)."""
-        return sum(1 for r in self.records if r.retries > 0)
-
-    @property
-    def total_retries(self) -> int:
-        return sum(r.retries for r in self.records)
 
     @property
     def hit_rate(self) -> float:
@@ -125,9 +96,7 @@ class EngineTelemetry:
             "cache_hits": self.n_cache_hits,
             "hit_rate": self.hit_rate,
             "failed": self.n_failed,
-            "timeouts": self.n_timeouts,
             "skipped": self.n_skipped,
-            "retries": self.total_retries,
             "busy_seconds": self.busy_seconds,
             "wall_seconds": self.wall_seconds,
         }
@@ -146,15 +115,9 @@ class EngineTelemetry:
             f"  task time {self.busy_seconds:.2f}s, "
             f"wall {self.wall_seconds:.2f}s",
         ]
-        if self.n_failed or self.n_timeouts or self.n_skipped:
+        if self.n_failed or self.n_skipped:
             lines.append(
-                f"  {self.n_failed} failed, {self.n_timeouts} timed out, "
-                f"{self.n_skipped} skipped"
-            )
-        if self.total_retries:
-            lines.append(
-                f"  {self.total_retries} retries across "
-                f"{self.n_retried_tasks} tasks"
+                f"  {self.n_failed} failed, {self.n_skipped} skipped"
             )
         for record in self.slowest(3):
             lines.append(

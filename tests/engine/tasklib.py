@@ -23,8 +23,6 @@ PAYLOAD_SIZE = "tests.engine.tasklib:payload_size"
 FLAKY_DRAW = "tests.engine.tasklib:flaky_draw"
 HANG = "tests.engine.tasklib:hang"
 CRASH = "tests.engine.tasklib:crash_worker"
-FLAKY_CRASH = "tests.engine.tasklib:flaky_crash"
-DELAYED_BOOM = "tests.engine.tasklib:delayed_boom"
 RECORD_RUN = "tests.engine.tasklib:record_run"
 UNSERIALIZABLE = "tests.engine.tasklib:unserializable"
 NON_CANONICAL = "tests.engine.tasklib:non_canonical"
@@ -73,11 +71,12 @@ def payload_size(config, payload, deps, seed):
 def flaky_draw(config, payload, deps, seed):
     """Fail the first ``fail_times`` invocations, then act like ``draw``.
 
-    Attempts are counted with marker files under ``config['scratch']``
-    (pool workers share no memory), so the count survives both process
-    boundaries and engine re-runs — which is exactly what the resume
-    tests need.  An eventual success must be bit-identical to ``draw``
-    with the same key/seed, proving retries never disturb seed streams.
+    Invocations are counted with marker files under
+    ``config['scratch']`` (pool workers share no memory), so the count
+    survives both process boundaries and engine re-runs — which is
+    exactly what the resume tests need.  The eventual success must be
+    bit-identical to ``draw`` with the same key/seed, proving a failed
+    run never disturbs seed streams.
     """
     del payload, deps
     scratch = config["scratch"]
@@ -94,7 +93,7 @@ def flaky_draw(config, payload, deps, seed):
 
 
 def hang(config, payload, deps, seed):
-    """Sleep far past any test timeout — the hung-worker probe."""
+    """Sleep far past any test's patience — the hung-worker probe."""
     del payload, deps, seed
     time.sleep(config.get("seconds", 60.0))
     return "never returned in time"
@@ -122,36 +121,6 @@ def crash_worker(config, payload, deps, seed):
     """Kill the worker process outright (simulates a lost machine)."""
     del config, payload, deps, seed
     os._exit(17)
-
-
-def flaky_crash(config, payload, deps, seed):
-    """Kill the worker the first ``fail_times`` invocations, then draw.
-
-    Marker files under ``config['scratch']`` count invocations across
-    process boundaries, like ``flaky_draw`` — but the failure mode is a
-    worker death (``BrokenProcessPool``), not an exception.
-    """
-    del payload, deps
-    scratch = config["scratch"]
-    os.makedirs(scratch, exist_ok=True)
-    already = len(os.listdir(scratch))
-    if already < config.get("fail_times", 0):
-        with open(os.path.join(scratch, uuid.uuid4().hex), "w"):
-            pass
-        os._exit(23)
-    rng = np.random.default_rng(seed)
-    return float(rng.random()) * config.get("scale", 1.0)
-
-
-def delayed_boom(config, payload, deps, seed):
-    """Work for ``seconds``, record the attempt, then raise."""
-    del payload, deps, seed
-    time.sleep(config.get("seconds", 0.1))
-    scratch = config["scratch"]
-    os.makedirs(scratch, exist_ok=True)
-    with open(os.path.join(scratch, uuid.uuid4().hex), "w"):
-        pass
-    raise RuntimeError(config.get("message", "delayed failure"))
 
 
 def record_run(config, payload, deps, seed):

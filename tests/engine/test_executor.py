@@ -83,9 +83,9 @@ def test_ready_queue_order_never_leaks_into_results():
 @settings(max_examples=40, deadline=None)
 @given(data=st.data())
 def test_jobs1_visits_tasks_in_topological_order(data):
-    """Property: with nothing retrying, ``jobs=1`` runs the tasks of any
-    generated DAG, declared in any order, exactly in
-    ``graph.topological_order()``, and reports them in that order."""
+    """Property: ``jobs=1`` runs the tasks of any generated DAG, declared
+    in any order, exactly in ``graph.topological_order()``, and reports
+    them in that order."""
     n = data.draw(st.integers(min_value=1, max_value=12), label="n")
     edges = data.draw(
         st.sets(

@@ -7,7 +7,7 @@ import json
 import pytest
 
 from repro.serving import ModelRegistry, RegistryError, shadow_score
-from repro.serving.registry import DEFAULT_ABSOLUTE_DRE_LIMIT
+from repro.serving.registry import ABSOLUTE_DRE_LIMIT
 
 from tests.serving.conftest import degraded_bundle
 
@@ -73,7 +73,7 @@ def test_bootstrap_absolute_gate_blocks_garbage(
     bad = degraded_bundle(scenario)
     gate = shadow_score(bad, None, holdout_window)
     assert not gate.accepted
-    assert gate.candidate_dre > DEFAULT_ABSOLUTE_DRE_LIMIT
+    assert gate.candidate_dre > ABSOLUTE_DRE_LIMIT
     with pytest.raises(RegistryError, match="shadow gate"):
         registry.publish(bad, replay_log=holdout_window)
 

@@ -255,6 +255,11 @@ class TestEngineFailureFlags:
         with pytest.raises(SystemExit):
             main(self.SWEEP + ["--failure-policy", "best_effort"])
 
+    def test_jobs_below_one_is_an_error_not_a_serial_run(self):
+        code, text = _run(self.SWEEP + ["--jobs", "0", "--no-cache"])
+        assert code == 1
+        assert "jobs must be >= 1, got 0" in text
+
     def test_failure_policy_continue_is_accepted(self, tmp_path):
         code, text = _run(self.SWEEP + [
             "--failure-policy", "continue",
