@@ -41,6 +41,11 @@ Models come either from a :class:`ModelRegistry` (live, hot-swappable)
 or from a static ``{platform: (version, bundle)}`` mapping (replay and
 tests).  Overload shows up as per-session shed/late counters, surfaced
 through the *merged* ``ServingStats`` (:func:`merge_snapshots`).
+
+``stop()`` returns however its cancel lands on the tick loop: every
+bounded drain waits with ``asyncio.wait``, because ``asyncio.wait_for``
+before Python 3.12 swallows a cancel that arrives just after the drain
+finished, and the tick loop would then keep running.
 """
 
 from __future__ import annotations
@@ -409,13 +414,24 @@ class ShardedPowerServer:
         return True
 
     async def _drain_one(self, client: _RouterClient) -> None:
+        # asyncio.wait, not wait_for: before Python 3.12 wait_for
+        # swallows a cancel that lands after the drain finished, and a
+        # tick loop cancelled by stop() then never ends.
+        drain = asyncio.ensure_future(client.writer.drain())
         try:
-            await asyncio.wait_for(
-                client.writer.drain(), timeout=self.drain_timeout_s
+            done, _ = await asyncio.wait(
+                {drain}, timeout=self.drain_timeout_s
             )
-        except asyncio.TimeoutError:
+        finally:
+            # On a finished drain, cancel() also marks its error as
+            # seen, so a cancel landing after it raised logs nothing.
+            drain.cancel()
+        if not done:
             self.stats.n_stalled_closed += 1
             await self._close_client(client, close_shard=True)
+            return
+        try:
+            drain.result()
         except (ConnectionError, RuntimeError):
             await self._close_client(client, close_shard=True)
 

@@ -12,6 +12,7 @@ exactly-once hot-swap barrier under a racing publish, and a clean
 from __future__ import annotations
 
 import asyncio
+import gc
 import json
 import threading
 from pathlib import Path
@@ -29,7 +30,7 @@ from repro.serving import (
     protocol,
     replay,
 )
-from repro.serving.router import HashRing
+from repro.serving.router import HashRing, _RouterClient
 
 TICK_S = 0.01
 
@@ -1062,3 +1063,115 @@ def test_start_closes_the_hosts_built_before_one_fails(
     host._process.join(timeout=10.0)
     assert not host._process.is_alive()
     assert host._process not in multiprocessing.active_children()
+
+
+class _InstantWriter:
+    """A writer whose ``drain()`` returns at once."""
+
+    async def drain(self):
+        return None
+
+    def close(self):
+        pass
+
+    async def wait_closed(self):
+        return None
+
+
+class _ResetWriter(_InstantWriter):
+    """A writer whose peer has closed: ``drain()`` raises at once."""
+
+    async def drain(self):
+        raise ConnectionResetError("peer closed")
+
+
+class _NullHost:
+    """An inline shard host that accepts every command."""
+
+    def call(self, command, payload):
+        return None
+
+
+def test_a_cancel_around_a_finished_drain_is_never_swallowed():
+    """Regression: ``_drain_one`` bounded the drain with
+    ``asyncio.wait_for``, which before Python 3.12 swallows a cancel
+    that lands after the inner drain has finished.  Cancelled by
+    ``stop()`` right after a ``bye`` drain, the tick loop then kept
+    ticking and ``stop()`` waited on it forever.  Whatever point of the
+    drain a cancel lands on, an accepted cancel ends the task
+    cancelled, and a drain that raised (the peer closed after ``bye``)
+    is never reported as an exception nobody retrieved."""
+
+    async def cancel_after(writer_type, k):
+        loop = asyncio.get_running_loop()
+        reported = []
+        loop.set_exception_handler(
+            lambda loop, context: reported.append(context["message"])
+        )
+        server = ShardedPowerServer(static_bundles={})
+        server._hosts = [_NullHost()]
+        client = _RouterClient("m0", 0, writer_type())
+        task = asyncio.ensure_future(server._drain_one(client))
+        for _ in range(k):
+            await asyncio.sleep(0)
+        accepted = task.cancel()
+        await asyncio.wait({task})
+        cancelled = task.cancelled()
+        # Finalize the inner drain task now, while the handler is set.
+        del task
+        gc.collect()
+        return accepted, cancelled, reported
+
+    for writer_type in (_InstantWriter, _ResetWriter):
+        outcomes = [_run(cancel_after(writer_type, k)) for k in range(6)]
+        swallowed = [
+            k for k, (accepted, cancelled, _) in enumerate(outcomes)
+            if accepted and not cancelled
+        ]
+        assert swallowed == [], writer_type.__name__
+        # The cancel lands mid-drain at the first three points at least.
+        assert all(accepted for accepted, _, _ in outcomes[:3])
+        assert [reported for _, _, reported in outcomes] == [[]] * 6
+
+
+@pytest.mark.parametrize("n_shards", [1, 2])
+def test_stop_returns_promptly_right_after_a_bye_drain(scenario, n_shards):
+    """Regression: a ``stop()`` issued the moment the tick's drain of a
+    ``drained`` reply finished never returned (see the test above).
+    The machine sends no samples, so the one drain after its welcome is
+    that reply's, and it calls ``stop()`` as it returns.  ``stop()``
+    must then return within a bounded wait, every time."""
+
+    async def stop_after_bye_drain():
+        server = _sharded_server(scenario, n_shards=n_shards)
+        await server.start()
+        _, writer, welcome = await _hello(
+            server, "m0", scenario.platform_key
+        )
+        assert welcome["type"] == protocol.WELCOME
+        server_writer = server._clients["m0"].writer
+        real_drain = server_writer.drain
+        stopping = asyncio.get_running_loop().create_future()
+
+        async def drain():
+            await real_drain()
+            stopping.set_result(asyncio.ensure_future(server.stop()))
+
+        server_writer.drain = drain
+        await _send(writer, {"type": protocol.BYE})
+        await asyncio.wait({stopping}, timeout=5.0)
+        assert stopping.done(), "the drained reply was never drained"
+        stop = stopping.result()
+        done, _ = await asyncio.wait({stop}, timeout=5.0)
+        if not done:
+            # Cancelling stop() cancels the surviving tick task again,
+            # now asleep, so the test fails instead of hanging.
+            stop.cancel()
+            await asyncio.wait({stop}, timeout=5.0)
+        writer.close()
+        return bool(done), server._hosts
+
+    for _ in range(3):
+        stopped, hosts = _run(stop_after_bye_drain())
+        assert stopped, "stop() did not return within 5 s"
+        assert hosts == []
