@@ -417,12 +417,11 @@ def _add_engine_flags(parser: argparse.ArgumentParser) -> None:
         "--failure-policy", default=None,
         choices=["fail_fast", "continue"], dest="failure_policy",
         help="fail_fast (default) aborts on the first task failure; "
-        "continue finishes every independent task, skips dependents of "
-        "failed ones, and reports the failed subgraph",
+        "continue runs every other task and reports the failed ones",
     )
     parser.add_argument(
         "--resume", action="store_true",
-        help="resume an interrupted run: replay the task graph against "
+        help="resume an interrupted run: replay the tasks against "
         "the warm artifact cache, recomputing only missing or failed "
         "tasks (requires the cache; incompatible with --no-cache)",
     )
@@ -763,7 +762,7 @@ def _cmd_sweep(args, out) -> int:
     ), file=out)
     if sweep.incomplete_cells:
         print(
-            "incomplete cells (a fold failed or was skipped): "
+            "incomplete cells (a fold failed): "
             + ", ".join(sweep.incomplete_cells),
             file=out,
         )
@@ -794,6 +793,7 @@ def _refuse_unobserved_sanitize(args, out) -> bool:
 def _cmd_serve(args, out) -> int:
     import asyncio
     import contextlib
+    import signal
 
     from repro.serving import ModelRegistry, ShardedPowerServer
 
@@ -835,6 +835,15 @@ def _cmd_serve(args, out) -> int:
             )
             stack.push_async_callback(server.stop)
             await server.start()
+            # SIGINT and SIGTERM end the wait, so the stack runs
+            # server.stop().  Installed only now, so shard workers keep
+            # the SIGINT setting this process started with, and removed
+            # before stop() runs, so a second signal can interrupt it.
+            loop = asyncio.get_running_loop()
+            stopping = asyncio.Event()
+            for signum in (signal.SIGINT, signal.SIGTERM):
+                loop.add_signal_handler(signum, stopping.set)
+                stack.callback(loop.remove_signal_handler, signum)
             print(
                 f"chaos-serve listening on {server.host}:{server.port} "
                 f"({len(platforms)} platform(s): {', '.join(platforms)}); "
@@ -843,12 +852,11 @@ def _cmd_serve(args, out) -> int:
                 + (" [sanitizer armed]" if args.sanitize else ""),
                 file=out,
             )
-            await asyncio.Event().wait()
+            await stopping.wait()
 
-    try:
+    with contextlib.suppress(KeyboardInterrupt):
         asyncio.run(_run())
-    except KeyboardInterrupt:
-        print("stopped", file=out)
+    print("stopped", file=out)
     failed = False
     if sanitizer is not None:
         report = sanitizer.report()

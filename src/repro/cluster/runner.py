@@ -111,14 +111,13 @@ def generate_run(
     )
 
 
-def run_task(config: dict, payload, deps, seed) -> ClusterRun:
+def run_task(config: dict, payload) -> ClusterRun:
     """Engine task: generate one cluster run.
 
     Not cacheable (the result is an in-memory dataclass, and generation
     is cheap relative to model fitting); determinism comes from the
-    explicit seeds in ``config``, not the engine-derived ``seed``.
+    explicit seeds in ``config``.
     """
-    del deps, seed
     cluster, workload = payload
     return generate_run(
         cluster, workload, config["run_index"], config["base_seed"]
@@ -140,7 +139,7 @@ def execute_runs(
     process pool.  A run that raises surfaces as a
     :class:`~repro.engine.TaskError` naming it.
     """
-    from repro.engine import TaskGraph, TaskSpec, resolve_jobs, run_graph
+    from repro.engine import TaskSpec, resolve_jobs, run_graph
 
     if n_runs < 1:
         raise ValueError("need at least one run")
@@ -149,7 +148,7 @@ def execute_runs(
         f"{cluster.name}/{workload.name}/run{run_index}"
         for run_index in range(n_runs)
     ]
-    graph = TaskGraph([
+    tasks = [
         TaskSpec(
             key=key,
             fn="repro.cluster.runner:run_task",
@@ -158,10 +157,8 @@ def execute_runs(
             cacheable=False,
         )
         for run_index, key in enumerate(keys)
-    ])
-    results = run_graph(
-        graph, jobs=min(resolve_jobs(jobs), n_runs), root_seed=base_seed
-    )
+    ]
+    results = run_graph(tasks, jobs=min(resolve_jobs(jobs), n_runs))
     return [results[key] for key in keys]
 
 

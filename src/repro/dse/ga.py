@@ -8,7 +8,7 @@ rather than a toy GA:
 * **Batch evaluation.**  The GA never evaluates a candidate itself — it
   hands each generation's deduplicated phenotype digests to an
   ``evaluate`` callback, which the runner implements as one
-  ``repro.engine`` task graph (parallel, cached, crash-resumable).
+  ``repro.engine`` run (parallel, cached, crash-resumable).
 * **Determinism.**  All randomness derives from
   ``default_rng([seed, tag, generation])``; the same seed and space
   produce a bit-identical generation history, which the property suite

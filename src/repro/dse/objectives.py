@@ -435,17 +435,16 @@ def evaluate_candidate(
     }
 
 
-def candidate_task(config: dict, payload, deps, seed) -> dict:
+def candidate_task(config: dict, payload) -> dict:
     """Engine task: evaluate one campaign candidate.
 
     ``payload`` carries the substrate; everything identifying the work —
     the phenotype, the space digest, the runs digest, the evaluation
-    seed — lives in ``config`` so the artifact cache key covers it.  The
-    engine-derived ``seed`` is unused: candidate randomness is pinned by
-    ``config["eval_seed"]`` for bit-reproducibility (the fold-task
-    discipline of ``framework/crossval.py``).
+    seed — lives in ``config`` so the artifact cache key covers it.
+    Candidate randomness is pinned by ``config["eval_seed"]`` for
+    bit-reproducibility (the fold-task discipline of
+    ``framework/crossval.py``).
     """
-    del deps, seed
     substrate: CampaignSubstrate = payload
     return evaluate_candidate(
         dict(config["params"]),

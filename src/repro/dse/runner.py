@@ -6,14 +6,14 @@ budgeted batch of candidate evaluations executed through the fault-
 tolerant experiment engine.  The runner owns the glue:
 
 * **screening** — the fractional-factorial pass, evaluated as one
-  engine graph, reduced to ranked main effects;
+  engine run, reduced to ranked main effects;
 * **search** — the seeded GA, whose per-generation evaluate callback
   compiles the generation's new phenotypes into content-addressed
   :class:`TaskSpec`s (key ``dse/<space>/cand/<digest>``) and runs them
-  as one graph.  Candidate keys are generation-independent and the
-  campaign pins one root seed, so a re-encountered phenotype — same
-  generation, later generation, or a ``--resume`` after a crash — is a
-  warm cache hit, never a recomputation;
+  as one engine run.  Candidate configs are generation-independent and
+  carry the campaign's one evaluation seed, so a re-encountered
+  phenotype — same generation, later generation, or a ``--resume``
+  after a crash — is a warm cache hit, never a recomputation;
 * **ranking** — Pareto frontier + MCDM weighted scores over the feasible
   candidates;
 * **persistence** — one canonical JSON payload (provenance, candidates,
@@ -49,7 +49,6 @@ from repro.dse.objectives import (
 from repro.dse.pareto import pareto_frontier
 from repro.dse.space import DesignSpace
 from repro.engine import (
-    TaskGraph,
     TaskSpec,
     atomic_write_json,
     canonical_json,
@@ -97,11 +96,11 @@ class CampaignConfig:
 
 
 class CampaignEvaluator:
-    """Compiles candidate batches into engine graphs and runs them.
+    """Compiles candidate batches into engine tasks and runs them.
 
     One instance serves a whole campaign, accumulating telemetry across
     generations so the campaign rollup (total tasks, hit rate) reflects
-    every graph that ran.
+    every batch that ran.
     """
 
     def __init__(
@@ -125,7 +124,6 @@ class CampaignEvaluator:
         self.telemetry = EngineTelemetry()
         #: digest -> full verdict payload for every evaluated candidate.
         self.verdicts: Dict[str, dict] = {}
-        self.n_graphs = 0
 
     def task_spec(self, digest: str, phenotype: dict) -> TaskSpec:
         """The content-addressed evaluation task for one phenotype.
@@ -150,26 +148,24 @@ class CampaignEvaluator:
     def __call__(
         self, digests: Sequence[str], genotypes: Dict[str, dict]
     ) -> Dict[str, Evaluation]:
-        """The GA's batch-evaluate callback: one graph per batch."""
-        graph = TaskGraph()
+        """The GA's batch-evaluate callback: one engine run per batch."""
+        tasks = []
         spec_keys = {}
         for digest in digests:
             phenotype = self.space.normalize(genotypes[digest])
             spec = self.task_spec(digest, phenotype)
-            graph.add(spec)
+            tasks.append(spec)
             spec_keys[digest] = spec.key
         batch_telemetry = EngineTelemetry()
         report = run_graph_report(
-            graph,
+            tasks,
             jobs=self.jobs,
             cache=self.cache,
-            root_seed=self.seed,
             telemetry=batch_telemetry,
             failure_policy=self.failure_policy,
         )
         report.raise_if_failed()
         self.telemetry.merge(batch_telemetry)
-        self.n_graphs += 1
         evaluations: Dict[str, Evaluation] = {}
         for digest in digests:
             verdict = report.results[spec_keys[digest]]

@@ -1,6 +1,6 @@
 """The parallel experiment engine.
 
-Decomposes experiment pipelines into a work graph of declaratively
+Decomposes experiment pipelines into lists of independent, declaratively
 specified tasks, executes them with one scheduler — in the calling
 process at ``jobs=1``, on a process pool above that — with bit-identical
 results, and backs cacheable tasks with a checksummed, content-addressed
@@ -23,17 +23,14 @@ from repro.engine.executor import (
     RunReport,
     TaskError,
     TaskFailure,
-    derive_task_seeds,
     run_graph,
     run_graph_report,
 )
-from repro.engine.graph import GraphError, TaskGraph
 from repro.engine.hashing import (
     cache_key,
     canonical_json,
     canonical_payload,
     canonical_result,
-    digest_arrays,
     sha256_hex,
 )
 from repro.engine.options import (
@@ -56,11 +53,9 @@ __all__ = [
     "ArtifactCache",
     "CacheStats",
     "EngineOptions",
-    "GraphError",
     "RunReport",
     "TaskError",
     "TaskFailure",
-    "TaskGraph",
     "TaskSpec",
     "atomic_write_json",
     "cache_key",
@@ -69,8 +64,6 @@ __all__ = [
     "canonical_result",
     "code_version",
     "default_options",
-    "derive_task_seeds",
-    "digest_arrays",
     "reset_default_options",
     "resolve_cache",
     "resolve_callable",

@@ -4,18 +4,13 @@ A cached artifact is only valid for the source tree that produced it, so
 the cache key folds in a digest over every ``.py`` file of the installed
 ``repro`` package.  Editing any module therefore invalidates every cache
 entry — the conservative rule the golden-result suite relies on.
-
-Set ``REPRO_CODE_VERSION`` to pin the fingerprint explicitly (e.g. to a
-release tag) when the conservative whole-package rule is too eager.
 """
 
 from __future__ import annotations
 
 import hashlib
-import os
 import pathlib
 
-_ENV_OVERRIDE = "REPRO_CODE_VERSION"
 _cached_version: str | None = None
 
 
@@ -30,10 +25,7 @@ def compute_code_version() -> str:
 
 
 def code_version() -> str:
-    """The process-wide code fingerprint (env override, else computed)."""
-    override = os.environ.get(_ENV_OVERRIDE)
-    if override:
-        return override
+    """The process-wide code fingerprint, computed once."""
     global _cached_version
     if _cached_version is None:
         _cached_version = compute_code_version()

@@ -1,16 +1,16 @@
-"""The executor: one scheduler runs a task graph at every ``jobs`` value.
+"""The executor: one scheduler runs a list of tasks at every ``jobs`` value.
 
-The scheduler launches a task as soon as its dependencies are done and
-keeps at most ``jobs`` tasks in flight.  Only the executor it submits to
-depends on ``jobs``: at ``jobs=1`` an in-process executor runs each task
-in the calling process at submit time and returns an already settled
-future, so tasks run in the graph's topological order; at ``jobs>1`` a
-``ProcessPoolExecutor`` runs each task in a worker.
+Tasks are independent: each is a pure function ``fn(config, payload)``.
+The scheduler launches them in list order and keeps at most ``jobs`` in
+flight.  Only the executor it submits to depends on ``jobs``: at
+``jobs=1`` an in-process executor runs each task in the calling process
+at submit time and returns an already settled future, so tasks run in
+list order; at ``jobs>1`` a ``ProcessPoolExecutor`` runs each task in a
+worker.
 
-Determinism contract: a task's result depends only on (config, payload,
-dependency results, derived seed) — never on scheduling.  Per-task seeds
-are spawned from the root seed with ``numpy.random.SeedSequence`` against
-the *sorted* task keys, so adding workers, reordering completions, or
+Determinism contract: a task's result depends only on its (config,
+payload) — never on scheduling.  A task that draws random numbers seeds
+them from ``config``, so adding workers, reordering completions, or
 resuming from a warm cache cannot change any task's random stream.  Both
 executors run the identical task function, and every cacheable result is
 normalized through the canonical JSON round-trip *inside the task run
@@ -22,12 +22,12 @@ arbitrary objects).
 
 Failure contract: each task gets exactly one attempt and no wall-clock
 budget.  By the determinism contract a second attempt would re-run the
-same inputs with the same derived seed and raise again, so a retry
-cannot help.  When a worker *dies* (``BrokenProcessPool``) every
-in-flight future is poisoned and the scheduler cannot tell the killer
-from bystanders: the pool is rebuilt and all victims are quarantined to
-re-run one at a time, so a repeat crash happens with exactly one task in
-flight and only that task fails.  The in-process executor never breaks,
+same inputs and raise again, so a retry cannot help.  When a worker
+*dies* (``BrokenProcessPool``) every in-flight future is poisoned and
+the scheduler cannot tell the killer from bystanders: the pool is
+rebuilt and all victims are quarantined to re-run one at a time, so a
+repeat crash happens with exactly one task in flight and only that task
+fails.  The in-process executor never breaks,
 so at ``jobs=1`` no task is quarantined and no pool is rebuilt.  What
 happens after a task fails is the run's ``failure_policy``:
 
@@ -36,15 +36,14 @@ happens after a task fails is the run's ``failure_policy``:
   traceback.  Queued siblings are cancelled and running ones killed, so
   the error surfaces promptly even behind a slow task (a sibling's
   result would be discarded anyway).
-* ``"continue"``: record the failure, transitively skip the failed
-  task's dependents, and keep executing every independent subgraph.
+* ``"continue"``: record the failure and run every other task.
   :func:`run_graph_report` then returns a :class:`RunReport` listing
-  succeeded/failed/skipped tasks with per-task tracebacks.
+  succeeded and failed tasks with per-task tracebacks.
 
 No worker outlives :func:`run_graph_report`, whether it returns or
 raises.  Either way a failed task writes nothing to the cache (writes
 happen only after success, atomically), so ``repro sweep --resume`` can
-replay the graph against the warm cache and recompute only missing or
+replay the tasks against the warm cache and recompute only missing or
 failed tasks.
 """
 
@@ -61,30 +60,22 @@ from concurrent.futures import (
 )
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
-from typing import Any, Callable
-
-from numpy.random import SeedSequence
+from typing import Any, Callable, Sequence
 
 from repro.engine.cache import MISS, ArtifactCache
 from repro.engine.codeversion import code_version
-from repro.engine.graph import TaskGraph
 from repro.engine.hashing import cache_key, canonical_result
 from repro.engine.spec import TaskSpec, resolve_callable
 from repro.telemetry.engine_stats import (
     OUTCOME_CACHE_HIT,
     OUTCOME_COMPUTED,
     OUTCOME_FAILED,
-    OUTCOME_SKIPPED,
     EngineTelemetry,
 )
 
 FAIL_FAST = "fail_fast"
 CONTINUE = "continue"
 FAILURE_POLICIES = (FAIL_FAST, CONTINUE)
-
-#: TaskFailure.kind values.
-KIND_ERROR = "error"
-KIND_SKIPPED = "skipped"
 
 
 def check_jobs(jobs: int) -> int:
@@ -120,44 +111,35 @@ class TaskError(RuntimeError):
 
 @dataclass(frozen=True)
 class TaskFailure:
-    """One task that did not produce a result."""
+    """One task that raised, or whose worker died."""
 
     key: str
     fn: str
-    kind: str
-    """``error`` (raised, or its worker died) or ``skipped`` (an
-    upstream dependency failed)."""
-
     detail: str
-    """The task's traceback, or the skip reason."""
+    """The task's traceback, or how its worker died."""
 
 
 @dataclass
 class RunReport:
-    """The full outcome of one graph execution.
+    """The full outcome of one run.
 
     ``results`` holds every produced result (cache hits included);
-    ``failed`` and ``skipped`` carry a :class:`TaskFailure` per dead
-    task.  ``succeeded + failed + skipped`` covers the whole graph
-    (unless a ``fail_fast`` abort cut the run short).
+    ``failed`` carries a :class:`TaskFailure` per failed task.
+    ``succeeded + failed`` covers every task (unless a ``fail_fast``
+    abort cut the run short).
     """
 
     succeeded: list[str] = field(default_factory=list)
     failed: list[TaskFailure] = field(default_factory=list)
-    skipped: list[TaskFailure] = field(default_factory=list)
     results: dict[str, Any] = field(default_factory=dict)
 
     @property
     def ok(self) -> bool:
-        return not self.failed and not self.skipped
+        return not self.failed
 
     @property
     def failed_keys(self) -> list[str]:
         return [failure.key for failure in self.failed]
-
-    @property
-    def skipped_keys(self) -> list[str]:
-        return [failure.key for failure in self.skipped]
 
     def raise_if_failed(self) -> None:
         """Re-raise the first failure as a :class:`TaskError`."""
@@ -167,10 +149,10 @@ class RunReport:
         raise TaskError(first.key, first.fn, first.detail)
 
     def render(self) -> str:
-        """Human-readable summary with one line per dead task."""
+        """Human-readable summary with one line per failed task."""
         lines = [
             f"run report: {len(self.succeeded)} succeeded, "
-            f"{len(self.failed)} failed, {len(self.skipped)} skipped"
+            f"{len(self.failed)} failed"
         ]
         for failure in self.failed:
             last = failure.detail.strip().splitlines()[-1:]
@@ -178,34 +160,13 @@ class RunReport:
                 f"  FAILED  {failure.key} ({failure.fn}): "
                 f"{last[0] if last else ''}"
             )
-        for failure in self.skipped:
-            lines.append(f"  skipped {failure.key}: {failure.detail}")
         return "\n".join(lines)
-
-
-def derive_task_seeds(
-    root_seed: int, keys: list[str]
-) -> dict[str, SeedSequence]:
-    """Independent, collision-free seed streams, one per task.
-
-    Children are spawned from ``SeedSequence(root_seed)`` against the
-    sorted key list, so the mapping depends only on the *set* of keys
-    and the root seed — not on declaration order, worker count, or which
-    tasks were cache hits.
-    """
-    ordered = sorted(set(keys))
-    if len(ordered) != len(keys):
-        raise ValueError("task keys must be unique")
-    children = SeedSequence(root_seed).spawn(len(ordered))
-    return dict(zip(ordered, children))
 
 
 def _execute(
     fn_path: str,
     config: dict,
     payload: Any,
-    deps: dict[str, Any],
-    seed: SeedSequence,
     canonicalize: bool = False,
 ) -> tuple[Any, float]:
     """Run one task (in a worker or inline); returns (result, seconds).
@@ -218,7 +179,7 @@ def _execute(
     """
     started = time.perf_counter()
     fn = resolve_callable(fn_path)
-    result = fn(config=config, payload=payload, deps=deps, seed=seed)
+    result = fn(config=config, payload=payload)
     if canonicalize:
         result = canonical_result(result)
     return result, time.perf_counter() - started
@@ -232,26 +193,24 @@ def _format_error(error: BaseException) -> str:
 
 
 def run_graph(
-    graph: TaskGraph,
+    tasks: Sequence[TaskSpec],
     jobs: int = 1,
     cache: ArtifactCache | None = None,
-    root_seed: int = 0,
     telemetry: EngineTelemetry | None = None,
     failure_policy: str = FAIL_FAST,
 ) -> dict[str, Any]:
     """Execute every task; returns ``{task key: result}``.
 
-    Raises :class:`TaskError` if any task ultimately failed — under
-    ``failure_policy="continue"`` only after every independent subgraph
-    has finished (and cached its results, which is what makes a
-    subsequent ``--resume`` cheap).  Callers that need the partial
-    results and the failure breakdown use :func:`run_graph_report`.
+    Raises :class:`TaskError` if any task failed — under
+    ``failure_policy="continue"`` only after every other task has
+    finished (and cached its result, which is what makes a subsequent
+    ``--resume`` cheap).  Callers that need the partial results and the
+    failure breakdown use :func:`run_graph_report`.
     """
     report = run_graph_report(
-        graph,
+        tasks,
         jobs=jobs,
         cache=cache,
-        root_seed=root_seed,
         telemetry=telemetry,
         failure_policy=failure_policy,
     )
@@ -260,14 +219,13 @@ def run_graph(
 
 
 def run_graph_report(
-    graph: TaskGraph,
+    tasks: Sequence[TaskSpec],
     jobs: int = 1,
     cache: ArtifactCache | None = None,
-    root_seed: int = 0,
     telemetry: EngineTelemetry | None = None,
     failure_policy: str = FAIL_FAST,
 ) -> RunReport:
-    """Execute the graph and report per-task outcomes.
+    """Execute the tasks and report per-task outcomes.
 
     Every ``jobs`` value runs on the same scheduler: ``jobs=1`` runs each
     task in the calling process (never starting a process pool);
@@ -276,20 +234,23 @@ def run_graph_report(
     entries are recomputed) and stored after success.  Under
     ``failure_policy="fail_fast"`` the first failure raises; under
     ``"continue"`` failures land in the returned :class:`RunReport`
-    instead.
+    instead.  A key that appears twice raises ``ValueError`` before any
+    task runs.
     """
     check_jobs(jobs)
     check_failure_policy(failure_policy)
-    order = graph.topological_order()
-    seeds = derive_task_seeds(root_seed, [task.key for task in order])
+    specs: dict[str, TaskSpec] = {}
+    for task in tasks:
+        if task.key in specs:
+            raise ValueError(f"duplicate task key {task.key!r}")
+        specs[task.key] = task
     version = code_version() if cache is not None else ""
     telemetry = telemetry if telemetry is not None else EngineTelemetry()
     report = RunReport()
     started = time.perf_counter()
     try:
         _schedule(
-            graph, order, seeds, cache, version, root_seed, report,
-            telemetry, jobs, failure_policy,
+            specs, cache, version, report, telemetry, jobs, failure_policy
         )
     finally:
         telemetry.wall_seconds += time.perf_counter() - started
@@ -300,37 +261,14 @@ def run_graph_report(
 # Internals
 # ----------------------------------------------------------------------
 
-def _artifact_key(task: TaskSpec, root_seed_version: tuple[int, str]) -> str:
-    root_seed, version = root_seed_version
-    return cache_key(
-        fn=task.fn,
-        config=task.config,
-        seed=root_seed,
-        code_version=version,
-        task_key=task.key,
-    )
-
-
 def _try_cache(
-    task: TaskSpec,
-    cache: ArtifactCache | None,
-    version: str,
-    root_seed: int,
+    task: TaskSpec, cache: ArtifactCache | None, version: str
 ) -> tuple[str | None, Any]:
     """(artifact key or None, cached result or MISS)."""
     if cache is None or not task.cacheable:
         return None, MISS
-    key = _artifact_key(task, (root_seed, version))
+    key = cache_key(fn=task.fn, config=task.config, code_version=version)
     return key, cache.get(key)
-
-
-def _skip_failure(task: TaskSpec, cause: TaskFailure) -> TaskFailure:
-    return TaskFailure(
-        key=task.key,
-        fn=task.fn,
-        kind=KIND_SKIPPED,
-        detail=f"upstream task {cause.key!r} {cause.kind}",
-    )
 
 
 class _InProcessExecutor:
@@ -375,42 +313,15 @@ def _shutdown_now(pool: _InProcessExecutor | ProcessPoolExecutor) -> None:
 
 
 def _schedule(
-    graph, order, seeds, cache, version, root_seed, report, telemetry,
-    jobs, failure_policy,
+    specs, cache, version, report, telemetry, jobs, failure_policy
 ) -> None:
-    dependents = graph.dependents()
-    waiting = {task.key: len(task.deps) for task in order}
-    specs = {task.key: task for task in order}
-    ready = deque(task.key for task in order if not task.deps)
+    ready = deque(specs)
     results = report.results
     artifact_keys: dict[str, str] = {}
-    # Root-cause failure for every dead (failed or skipped) task key.
-    dead: dict[str, TaskFailure] = {}
     # Tasks swept off a broken pool (worker death poisons every in-flight
     # future, so guilt is unattributable).  They re-run strictly one at a
     # time: a repeat crash then has a single possible culprit.
     quarantine: deque[str] = deque()
-
-    def _resolve_done(key: str) -> list[str]:
-        """Mark ``key`` done; return newly-ready dependents in order."""
-        released = []
-        for dependent in dependents[key]:
-            waiting[dependent] -= 1
-            if waiting[dependent] == 0:
-                released.append(dependent)
-        return released
-
-    def _kill_subgraph(root_failure: TaskFailure) -> None:
-        """Transitively skip every dependent of a dead task."""
-        stack = list(dependents[root_failure.key])
-        while stack:
-            key = stack.pop()
-            if key in dead:
-                continue
-            dead[key] = root_failure
-            report.skipped.append(_skip_failure(specs[key], root_failure))
-            telemetry.record(key, specs[key].fn, 0.0, OUTCOME_SKIPPED)
-            stack.extend(dependents[key])
 
     def _settle_failure(key: str, detail: str, error: BaseException) -> None:
         """Settle a failed task, whatever failed it, per the policy."""
@@ -418,10 +329,7 @@ def _schedule(
         telemetry.record(key, task.fn, 0.0, OUTCOME_FAILED)
         if failure_policy == FAIL_FAST:
             raise TaskError(key, task.fn, detail) from error
-        failure = TaskFailure(key, task.fn, KIND_ERROR, detail)
-        report.failed.append(failure)
-        dead[key] = failure
-        _kill_subgraph(failure)
+        report.failed.append(TaskFailure(key, task.fn, detail))
 
     def _finish_success(key: str, result: Any, seconds: float) -> None:
         task = specs[key]
@@ -430,29 +338,20 @@ def _schedule(
             cache.put(artifact_keys[key], result)
         report.succeeded.append(key)
         telemetry.record(key, task.fn, seconds, OUTCOME_COMPUTED)
-        ready.extend(_resolve_done(key))
 
     def _launch(key: str) -> None:
         """Cache-check ``key`` and submit it to the pool on a miss."""
         task = specs[key]
-        artifact_key, cached = _try_cache(task, cache, version, root_seed)
+        artifact_key, cached = _try_cache(task, cache, version)
         if artifact_key is not None:
             artifact_keys[key] = artifact_key
         if cached is not MISS:
             results[key] = cached
             report.succeeded.append(key)
             telemetry.record(key, task.fn, 0.0, OUTCOME_CACHE_HIT)
-            ready.extend(_resolve_done(key))
             return
-        deps = {dep: results[dep] for dep in task.deps}
         future = pool.submit(
-            _execute,
-            task.fn,
-            task.config,
-            task.payload,
-            deps,
-            seeds[key],
-            task.cacheable,
+            _execute, task.fn, task.config, task.payload, task.cacheable
         )
         futures[future] = key
 
@@ -467,25 +366,12 @@ def _schedule(
             # futures, so a worker death poisons only tasks that were
             # running and ``jobs=1`` settles each task before launching
             # the next.  Cache hits short-circuit without touching the
-            # pool and may release dependents.
+            # pool.
             while quarantine and not futures:
-                key = quarantine.popleft()
-                if key in dead:
-                    continue
-                _launch(key)
+                _launch(quarantine.popleft())
             if not quarantine:
-                while ready:
-                    key = ready.popleft()
-                    if key in dead:
-                        # A dead (skipped) task is re-queued by
-                        # _resolve_done when its *other* parents finish;
-                        # this filter is the only guard against running
-                        # a task already reported in report.skipped.
-                        continue
-                    if len(futures) >= jobs:
-                        ready.appendleft(key)
-                        break
-                    _launch(key)
+                while ready and len(futures) < jobs:
+                    _launch(ready.popleft())
             if not futures:
                 continue
 
@@ -525,7 +411,7 @@ def _schedule(
                         key, f"worker process died: {error}", error
                     )
                 else:
-                    quarantine.extend(k for k in victims if k not in dead)
+                    quarantine.extend(victims)
     except BaseException:
         # Surface the error promptly and leave no worker behind: queued
         # siblings are cancelled and running ones killed (a fail_fast

@@ -1,8 +1,10 @@
 """Canonical hashing: the engine's content-addressed identities.
 
 Every cached artifact is keyed by a SHA-256 over a *canonical* JSON
-rendering of (task function, config, root seed, code version).  Canonical
-means: dict insertion order never matters, tuples and lists are
+rendering of (task function, config, code version).  A task is a pure
+function of its config and payload, and the config carries the task's
+seed and a digest of its payload, so these three determine the result.
+Canonical means: dict insertion order never matters, tuples and lists are
 interchangeable, and numpy scalars collapse to their Python equivalents —
 so two configs that compare equal always hash equal, while changing any
 single field changes the key.
@@ -97,34 +99,14 @@ def sha256_hex(text: str | bytes) -> str:
     return hashlib.sha256(text).hexdigest()
 
 
-def cache_key(
-    fn: str,
-    config: dict,
-    seed: int,
-    code_version: str,
-    task_key: str = "",
-) -> str:
+def cache_key(fn: str, config: dict, code_version: str) -> str:
     """The content address of one task's artifact.
 
     Covers everything that determines the result: the task function, its
-    full config, the run's root seed, the task's own key (which selects
-    its derived seed stream), and the code version.
+    full config, and the code version.
     """
     return sha256_hex(canonical_json({
         "fn": fn,
         "config": config,
-        "seed": seed,
-        "task_key": task_key,
         "code_version": code_version,
     }))
-
-
-def digest_arrays(*arrays: np.ndarray) -> str:
-    """SHA-256 over the shapes, dtypes and raw bytes of numpy arrays."""
-    digest = hashlib.sha256()
-    for array in arrays:
-        array = np.ascontiguousarray(array)
-        digest.update(str(array.shape).encode())
-        digest.update(str(array.dtype).encode())
-        digest.update(array.tobytes())
-    return digest.hexdigest()

@@ -21,7 +21,7 @@ class TaskSpec:
     """One schedulable task."""
 
     key: str
-    """Stable unique id within a graph; also salts the derived seed."""
+    """Stable id, unique within one run."""
 
     fn: str
     """Dotted path ``package.module:callable`` resolved in the worker."""
@@ -31,9 +31,6 @@ class TaskSpec:
 
     payload: Any = None
     """Runtime inputs shipped to the worker but *not* hashed."""
-
-    deps: tuple[str, ...] = ()
-    """Keys of tasks whose results this task consumes."""
 
     cacheable: bool = True
     """Whether the (JSON-serializable) result may be cached on disk."""
@@ -45,8 +42,6 @@ class TaskSpec:
             raise ValueError(
                 f"task fn must be a 'module:callable' path, got {self.fn!r}"
             )
-        if not isinstance(self.deps, tuple):
-            object.__setattr__(self, "deps", tuple(self.deps))
 
 
 def resolve_callable(path: str) -> Callable:

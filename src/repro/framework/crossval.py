@@ -21,7 +21,6 @@ import numpy as np
 from repro.cluster.dataset import Fold, runwise_folds
 from repro.cluster.runner import ClusterRun, runs_content_digest
 from repro.engine import (
-    TaskGraph,
     TaskSpec,
     resolve_cache,
     resolve_failure_policy,
@@ -128,15 +127,14 @@ def evaluate_fold(
     return machine_reports, cluster_reports
 
 
-def fold_task(config: dict, payload, deps, seed) -> dict:
+def fold_task(config: dict, payload) -> dict:
     """Engine task: evaluate one fold; returns a JSON-safe payload.
 
     ``payload`` carries the runs; everything identifying the work (and
     a content digest of the runs) lives in ``config`` so the artifact
-    cache key covers it.  The engine-derived ``seed`` is unused — fold
-    randomness is pinned by ``config['seed']`` for bit-reproducibility.
+    cache key covers it.  Fold randomness is pinned by
+    ``config['seed']`` for bit-reproducibility.
     """
-    del deps, seed
     runs: list[ClusterRun] = payload
     feature_set = FeatureSet(
         name=config["feature_set"]["name"],
@@ -286,9 +284,8 @@ def cross_validate(
         runs_digest=digest,
         key_prefix=f"{workload_name}/{model_code}{feature_set.name}",
     )
-    graph = TaskGraph(specs)
     report = run_graph_report(
-        graph, jobs=jobs, cache=cache, root_seed=seed, telemetry=telemetry,
+        specs, jobs=jobs, cache=cache, telemetry=telemetry,
         failure_policy=failure_policy,
     )
     report.raise_if_failed()

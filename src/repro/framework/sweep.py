@@ -6,8 +6,8 @@ techniques."  The sweep enumerates the valid grid (quadratic/switching
 need multiple features), cross-validates each cell, and reports the winner
 per workload — the machinery behind Figures 3-4 and Table IV.
 
-The sweep is embarrassingly parallel, so it compiles to one engine work
-graph with a task per (cell, fold) and executes with any worker count —
+The sweep is embarrassingly parallel, so it compiles to one flat list of
+engine tasks, one per (cell, fold), and executes with any worker count —
 ``repro sweep --jobs N`` — producing bit-identical metrics, with each
 task backed by the content-addressed artifact cache.
 """
@@ -19,7 +19,6 @@ from dataclasses import dataclass, field
 from repro.cluster.runner import ClusterRun, runs_content_digest
 from repro.engine import (
     RunReport,
-    TaskGraph,
     resolve_cache,
     resolve_failure_policy,
     resolve_jobs,
@@ -44,11 +43,11 @@ class SweepResult:
     evaluations: list[EvaluationResult] = field(default_factory=list)
 
     incomplete_cells: list[str] = field(default_factory=list)
-    """Cell labels dropped because a fold failed or was skipped (only
-    possible under ``failure_policy="continue"``)."""
+    """Cell labels dropped because a fold failed (only possible under
+    ``failure_policy="continue"``)."""
 
     report: RunReport | None = None
-    """The engine's per-task outcome report for this sweep's graph."""
+    """The engine's per-task outcome report for this sweep's tasks."""
 
     @property
     def n_models_built(self) -> int:
@@ -87,8 +86,8 @@ def sweep_models(
 ) -> SweepResult:
     """Cross-validate every valid technique x feature-set combination.
 
-    Compiles the grid to one engine work graph — a task per (cell, fold)
-    — and runs it with ``jobs`` workers against the artifact ``cache``
+    Compiles the grid to one list of engine tasks — a task per (cell,
+    fold) — and runs it with ``jobs`` workers against the artifact ``cache``
     (both default to the process-wide engine options).  Metrics are
     bit-identical for any worker count and for warm-cache reruns.
 
@@ -113,7 +112,7 @@ def sweep_models(
         for feature_set in feature_sets
         if supports_feature_set(code, feature_set)
     ]
-    graph = TaskGraph()
+    tasks = []
     cell_specs = []
     for code, feature_set in cells:
         specs = fold_task_specs(
@@ -126,14 +125,13 @@ def sweep_models(
             runs_digest=digest,
             key_prefix=f"{workload_name}/{code}{feature_set.name}",
         )
-        for spec in specs:
-            graph.add(spec)
+        tasks.extend(specs)
         cell_specs.append((code, feature_set, specs))
 
-    # Under fail_fast the executor raises TaskError on the first terminal
-    # failure; under "continue" the report carries the failed subgraph.
+    # Under fail_fast the executor raises TaskError on the first failure;
+    # under "continue" the report carries the failed tasks.
     report = run_graph_report(
-        graph, jobs=jobs, cache=cache, root_seed=seed, telemetry=telemetry,
+        tasks, jobs=jobs, cache=cache, telemetry=telemetry,
         failure_policy=failure_policy,
     )
 

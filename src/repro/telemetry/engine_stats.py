@@ -1,10 +1,9 @@
 """Per-task telemetry for the experiment engine.
 
 The executor records one :class:`TaskRecord` per task — how long it took
-and whether it was computed, served from the artifact cache, failed, or
-was skipped behind a failed dependency — and :class:`EngineTelemetry`
-aggregates them into the hit-rate and timing summary the CLI prints
-after a sweep.
+and whether it was computed, served from the artifact cache, or failed —
+and :class:`EngineTelemetry` aggregates them into the hit-rate and
+timing summary the CLI prints after a sweep.
 """
 
 from __future__ import annotations
@@ -14,10 +13,6 @@ from dataclasses import dataclass, field
 OUTCOME_COMPUTED = "computed"
 OUTCOME_CACHE_HIT = "cache-hit"
 OUTCOME_FAILED = "failed"
-OUTCOME_SKIPPED = "skipped"
-
-#: Outcomes that mean the task produced a result.
-SUCCESS_OUTCOMES = frozenset({OUTCOME_COMPUTED, OUTCOME_CACHE_HIT})
 
 
 @dataclass(frozen=True)
@@ -63,10 +58,6 @@ class EngineTelemetry:
         return self._count(OUTCOME_FAILED)
 
     @property
-    def n_skipped(self) -> int:
-        return self._count(OUTCOME_SKIPPED)
-
-    @property
     def hit_rate(self) -> float:
         """Fraction of tasks served from the cache (0.0 with no tasks)."""
         if not self.records:
@@ -81,7 +72,7 @@ class EngineTelemetry:
     def merge(self, other: "EngineTelemetry") -> None:
         """Fold another engine run's records into this accumulator.
 
-        Campaign drivers run one task graph per GA generation; merging
+        Campaign drivers run one task list per GA generation; merging
         each generation's telemetry yields the campaign-level rollup
         (total tasks, overall hit rate, busy vs wall seconds).
         """
@@ -96,7 +87,6 @@ class EngineTelemetry:
             "cache_hits": self.n_cache_hits,
             "hit_rate": self.hit_rate,
             "failed": self.n_failed,
-            "skipped": self.n_skipped,
             "busy_seconds": self.busy_seconds,
             "wall_seconds": self.wall_seconds,
         }
@@ -115,10 +105,8 @@ class EngineTelemetry:
             f"  task time {self.busy_seconds:.2f}s, "
             f"wall {self.wall_seconds:.2f}s",
         ]
-        if self.n_failed or self.n_skipped:
-            lines.append(
-                f"  {self.n_failed} failed, {self.n_skipped} skipped"
-            )
+        if self.n_failed:
+            lines.append(f"  {self.n_failed} failed")
         for record in self.slowest(3):
             lines.append(
                 f"  {record.seconds:7.3f}s  {record.outcome:<9}  "

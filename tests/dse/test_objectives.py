@@ -181,7 +181,7 @@ class TestEvaluateCandidate:
             "space_digest": "x",
             "runs_digest": substrate.runs_digest,
         }
-        task_verdict = candidate_task(config, substrate, {}, seed=999)
+        task_verdict = candidate_task(config, substrate)
         direct = evaluate_candidate(
             phenotype, substrate, eval_seed=3, probe_seconds=5
         )

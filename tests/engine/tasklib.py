@@ -16,7 +16,6 @@ import numpy as np
 
 ADD = "tests.engine.tasklib:add"
 DRAW = "tests.engine.tasklib:draw"
-TOTAL = "tests.engine.tasklib:total"
 BOOM = "tests.engine.tasklib:boom"
 SLEEPY = "tests.engine.tasklib:sleepy_identity"
 PAYLOAD_SIZE = "tests.engine.tasklib:payload_size"
@@ -30,55 +29,49 @@ VISIT = "tests.engine.tasklib:visit"
 INTERRUPT = "tests.engine.tasklib:interrupt"
 
 
-def add(config, payload, deps, seed):
+def add(config, payload):
     """Pure function of config: ``a + b``."""
-    del payload, deps, seed
+    del payload
     return config["a"] + config["b"]
 
 
-def draw(config, payload, deps, seed):
-    """One draw from the task's derived seed stream, scaled by config."""
-    del payload, deps
-    rng = np.random.default_rng(seed)
+def draw(config, payload):
+    """One draw seeded by ``config['seed']``, scaled by config."""
+    del payload
+    rng = np.random.default_rng(config["seed"])
     return float(rng.random()) * config.get("scale", 1.0)
 
 
-def total(config, payload, deps, seed):
-    """Sum of all dependency results (dict-order independent)."""
-    del config, payload, seed
-    return sum(deps[key] for key in sorted(deps))
-
-
-def boom(config, payload, deps, seed):
+def boom(config, payload):
     """Always fails — the fault-injection probe."""
-    del payload, deps, seed
+    del payload
     raise RuntimeError(config.get("message", "injected failure"))
 
 
-def sleepy_identity(config, payload, deps, seed):
+def sleepy_identity(config, payload):
     """Hold a pool worker busy briefly, then return ``value``."""
-    del payload, deps, seed
+    del payload
     time.sleep(config.get("seconds", 0.05))
     return config["value"]
 
 
-def payload_size(config, payload, deps, seed):
+def payload_size(config, payload):
     """Length of the (unhashed) payload — exercises payload shipping."""
-    del config, deps, seed
+    del config
     return len(payload)
 
 
-def flaky_draw(config, payload, deps, seed):
+def flaky_draw(config, payload):
     """Fail the first ``fail_times`` invocations, then act like ``draw``.
 
     Invocations are counted with marker files under
     ``config['scratch']`` (pool workers share no memory), so the count
     survives both process boundaries and engine re-runs — which is
     exactly what the resume tests need.  The eventual success must be
-    bit-identical to ``draw`` with the same key/seed, proving a failed
-    run never disturbs seed streams.
+    bit-identical to ``draw`` with the same seed, proving a failed run
+    never disturbs the result.
     """
-    del payload, deps
+    del payload
     scratch = config["scratch"]
     os.makedirs(scratch, exist_ok=True)
     already = len(os.listdir(scratch))
@@ -88,44 +81,43 @@ def flaky_draw(config, payload, deps, seed):
         raise RuntimeError(
             f"flaky failure {already + 1}/{config['fail_times']}"
         )
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(config["seed"])
     return float(rng.random()) * config.get("scale", 1.0)
 
 
-def hang(config, payload, deps, seed):
+def hang(config, payload):
     """Sleep far past any test's patience — the hung-worker probe."""
-    del payload, deps, seed
+    del payload
     time.sleep(config.get("seconds", 60.0))
     return "never returned in time"
 
 
-def visit(config, payload, deps, seed):
+def visit(config, payload):
     """Append ``config['key']`` to ``payload``, a list the caller holds.
 
     Only an in-process run shares the list with the caller (a pool
     worker appends to its own unpickled copy), so the list records the
     order in which ``jobs=1`` visited the tasks.
     """
-    del deps, seed
     payload.append(config["key"])
     return len(payload)
 
 
-def interrupt(config, payload, deps, seed):
+def interrupt(config, payload):
     """Raise ``KeyboardInterrupt`` as if Ctrl-C landed inside the task."""
-    del config, payload, deps, seed
+    del config, payload
     raise KeyboardInterrupt
 
 
-def crash_worker(config, payload, deps, seed):
+def crash_worker(config, payload):
     """Kill the worker process outright (simulates a lost machine)."""
-    del config, payload, deps, seed
+    del config, payload
     os._exit(17)
 
 
-def record_run(config, payload, deps, seed):
+def record_run(config, payload):
     """Touch one marker file per invocation — counts actual executions."""
-    del payload, deps, seed
+    del payload
     scratch = config["scratch"]
     os.makedirs(scratch, exist_ok=True)
     with open(os.path.join(scratch, uuid.uuid4().hex), "w"):
@@ -133,20 +125,20 @@ def record_run(config, payload, deps, seed):
     return config.get("value", 1)
 
 
-def unserializable(config, payload, deps, seed):
+def unserializable(config, payload):
     """Return a value JSON cannot encode (canonicalization must fail)."""
-    del config, payload, deps, seed
+    del config, payload
     return object()
 
 
-def non_canonical(config, payload, deps, seed):
+def non_canonical(config, payload):
     """Rebuild a deliberately non-JSON-canonical value from a spec.
 
     ``config['spec']`` is itself JSON (so it is hashable), and describes
     a value containing tuples, int-keyed dicts, and numpy scalars — the
     shapes whose cold/warm cache round-trip used to diverge.
     """
-    del payload, deps, seed
+    del payload
     return build_non_canonical(config["spec"])
 
 

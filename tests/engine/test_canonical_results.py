@@ -22,7 +22,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.engine import ArtifactCache, TaskError, TaskGraph, TaskSpec
+from repro.engine import ArtifactCache, TaskError, TaskSpec
 from repro.engine import canonical_result, run_graph, run_graph_report
 from repro.telemetry.engine_stats import EngineTelemetry
 from tests.engine import tasklib
@@ -103,12 +103,11 @@ def test_cold_and_warm_results_are_bit_identical(spec):
     # instance, so manage a fresh directory per example by hand.
     with tempfile.TemporaryDirectory() as root:
         cache = ArtifactCache(Path(root) / "cache")
-        graph = [TaskSpec(key="t", fn=tasklib.NON_CANONICAL,
+        tasks = [TaskSpec(key="t", fn=tasklib.NON_CANONICAL,
                           config={"spec": spec})]
-        cold = run_graph(TaskGraph(graph), jobs=1, cache=cache)
+        cold = run_graph(tasks, jobs=1, cache=cache)
         stats = EngineTelemetry()
-        warm = run_graph(TaskGraph(graph), jobs=1, cache=cache,
-                         telemetry=stats)
+        warm = run_graph(tasks, jobs=1, cache=cache, telemetry=stats)
         assert stats.n_cache_hits == 1
         assert exact_form(cold["t"]) == exact_form(warm["t"])
         assert_canonical(cold["t"])
@@ -122,15 +121,14 @@ def test_cold_and_warm_results_are_bit_identical(spec):
 @given(spec=specs)
 def test_cacheless_run_matches_cached_run(spec):
     """The normalization is not conditional on a cache being attached."""
-    uncached = run_graph(TaskGraph([
+    tasks = [
         TaskSpec(key="t", fn=tasklib.NON_CANONICAL, config={"spec": spec})
-    ]), jobs=1)
+    ]
+    uncached = run_graph(tasks, jobs=1)
     with tempfile.TemporaryDirectory() as root:
         cache = ArtifactCache(Path(root) / "cache")
-        graph = [TaskSpec(key="t", fn=tasklib.NON_CANONICAL,
-                          config={"spec": spec})]
-        run_graph(TaskGraph(graph), jobs=1, cache=cache)
-        warm = run_graph(TaskGraph(graph), jobs=1, cache=cache)
+        run_graph(tasks, jobs=1, cache=cache)
+        warm = run_graph(tasks, jobs=1, cache=cache)
     assert exact_form(uncached["t"]) == exact_form(warm["t"])
 
 
@@ -140,10 +138,10 @@ def test_pool_path_normalizes_results_too(tmp_path):
         {"kind": "int-dict", "items": [[3, {"kind": "np-int", "value": 7}]]},
     ]}
     cache = ArtifactCache(tmp_path / "cache")
-    graph = [TaskSpec(key="t", fn=tasklib.NON_CANONICAL,
+    tasks = [TaskSpec(key="t", fn=tasklib.NON_CANONICAL,
                       config={"spec": spec})]
-    cold = run_graph(TaskGraph(graph), jobs=2, cache=cache)
-    warm = run_graph(TaskGraph(graph), jobs=2, cache=cache)
+    cold = run_graph(tasks, jobs=2, cache=cache)
+    warm = run_graph(tasks, jobs=2, cache=cache)
     assert cold["t"] == [0.25, {"3": 7}]
     assert exact_form(cold["t"]) == exact_form(warm["t"])
     assert_canonical(cold["t"])
@@ -196,18 +194,18 @@ def test_unserializable_cacheable_result_is_a_task_failure(jobs):
     """A cacheable task returning a non-JSON value fails through the
     normal failure machinery — a TaskError carrying the traceback, never
     a raw TypeError escaping the scheduler — cache attached or not."""
-    graph = TaskGraph([TaskSpec(key="t", fn=tasklib.UNSERIALIZABLE)])
+    tasks = [TaskSpec(key="t", fn=tasklib.UNSERIALIZABLE)]
     with pytest.raises(TaskError) as excinfo:
-        run_graph(graph, jobs=jobs)
+        run_graph(tasks, jobs=jobs)
     assert excinfo.value.key == "t"
     assert "not JSON-serializable" in excinfo.value.detail
 
 
 def test_unserializable_result_respects_continue_policy():
-    report = run_graph_report(TaskGraph([
+    report = run_graph_report([
         TaskSpec(key="t", fn=tasklib.UNSERIALIZABLE),
         TaskSpec(key="ok", fn=tasklib.ADD, config={"a": 1, "b": 2}),
-    ]), jobs=1, failure_policy="continue")
+    ], jobs=1, failure_policy="continue")
     assert report.results == {"ok": 3}
     assert report.failed_keys == ["t"]
     assert "TypeError" in report.failed[0].detail
@@ -215,7 +213,7 @@ def test_unserializable_result_respects_continue_policy():
 
 def test_non_cacheable_tasks_may_return_arbitrary_objects():
     """Opting out of the cache opts out of canonicalization too."""
-    results = run_graph(TaskGraph([
+    results = run_graph([
         TaskSpec(key="t", fn=tasklib.UNSERIALIZABLE, cacheable=False),
-    ]), jobs=1)
+    ], jobs=1)
     assert type(results["t"]) is object

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -10,7 +11,6 @@ from repro.engine import (
     MISS,
     ArtifactCache,
     TaskError,
-    TaskGraph,
     TaskSpec,
     cache_key,
     run_graph,
@@ -26,16 +26,18 @@ from repro.telemetry.engine_stats import (
 from tests.engine import tasklib
 
 
-def diamond_graph() -> TaskGraph:
-    """Two seeded draws feeding a sum feeding a final sum — exercises
-    seed derivation, dependency passing, and ordering at once."""
-    return TaskGraph([
-        TaskSpec(key="draw/a", fn=tasklib.DRAW, config={"scale": 2.0}),
-        TaskSpec(key="draw/b", fn=tasklib.DRAW, config={"scale": 3.0}),
-        TaskSpec(key="mid", fn=tasklib.TOTAL, deps=("draw/a", "draw/b")),
+def seeded_tasks() -> list[TaskSpec]:
+    """Four draws, each seeded by its own config, beside a pure task."""
+    return [
+        TaskSpec(key="draw/a", fn=tasklib.DRAW,
+                 config={"seed": 7, "scale": 2.0}),
+        TaskSpec(key="draw/b", fn=tasklib.DRAW,
+                 config={"seed": 8, "scale": 3.0}),
         TaskSpec(key="leaf", fn=tasklib.ADD, config={"a": 1, "b": 2}),
-        TaskSpec(key="final", fn=tasklib.TOTAL, deps=("mid", "leaf")),
-    ])
+        TaskSpec(key="draw/c", fn=tasklib.DRAW, config={"seed": 9}),
+        TaskSpec(key="draw/d", fn=tasklib.DRAW,
+                 config={"seed": 7, "scale": 5.0}),
+    ]
 
 
 # ----------------------------------------------------------------------
@@ -43,94 +45,64 @@ def diamond_graph() -> TaskGraph:
 # ----------------------------------------------------------------------
 
 def test_serial_and_parallel_results_bit_identical():
-    serial = run_graph(diamond_graph(), jobs=1, root_seed=7)
-    pooled = run_graph(diamond_graph(), jobs=3, root_seed=7)
+    serial = run_graph(seeded_tasks(), jobs=1)
+    pooled = run_graph(seeded_tasks(), jobs=3)
     assert serial == pooled
-    assert serial["final"] == serial["mid"] + 3
-    assert serial["mid"] == serial["draw/a"] + serial["draw/b"]
+    assert serial["leaf"] == 3
+    first = float(np.random.default_rng(7).random())
+    assert serial["draw/a"] == first * 2.0
+    assert serial["draw/d"] == first * 5.0
 
 
-def wide_layered_graph(width=40) -> TaskGraph:
-    """Many roots feeding per-column sums feeding one total — wide enough
-    that the ready-queue discipline (FIFO deque) actually matters."""
-    tasks = [
+def wide_tasks(width=40) -> list[TaskSpec]:
+    """Many seeded draws — wide enough that the ready-queue discipline
+    (FIFO deque) and the in-flight throttle actually matter."""
+    return [
         TaskSpec(key=f"draw/{i:02d}", fn=tasklib.DRAW,
-                 config={"scale": float(i % 7 + 1)})
+                 config={"seed": 11 + i, "scale": float(i % 7 + 1)})
         for i in range(width)
     ]
-    tasks += [
-        TaskSpec(key=f"pair/{i:02d}", fn=tasklib.TOTAL,
-                 deps=(f"draw/{2 * i:02d}", f"draw/{2 * i + 1:02d}"))
-        for i in range(width // 2)
-    ]
-    tasks.append(TaskSpec(
-        key="grand", fn=tasklib.TOTAL,
-        deps=tuple(f"pair/{i:02d}" for i in range(width // 2)),
-    ))
-    return TaskGraph(tasks)
 
 
 def test_ready_queue_order_never_leaks_into_results():
     """Results are invariant to scheduling: serial, and pools of several
-    widths, all produce bit-identical values on a wide layered graph
+    widths, all produce bit-identical values on a wide task list
     (pins the deque-based ready queue's FIFO behavior)."""
-    serial = run_graph(wide_layered_graph(), jobs=1, root_seed=11)
+    serial = run_graph(wide_tasks(), jobs=1)
     for jobs in (2, 3, 5):
-        assert run_graph(wide_layered_graph(), jobs=jobs,
-                         root_seed=11) == serial
+        assert run_graph(wide_tasks(), jobs=jobs) == serial
 
 
 @settings(max_examples=40, deadline=None)
-@given(data=st.data())
-def test_jobs1_visits_tasks_in_topological_order(data):
-    """Property: ``jobs=1`` runs the tasks of any generated DAG, declared
-    in any order, exactly in ``graph.topological_order()``, and reports
-    them in that order."""
-    n = data.draw(st.integers(min_value=1, max_value=12), label="n")
-    edges = data.draw(
-        st.sets(
-            st.tuples(
-                st.integers(0, n - 1), st.integers(0, n - 1)
-            ).filter(lambda e: e[0] < e[1]),
-            max_size=3 * n,
-        ),
-        label="edges",
-    )
-    insertion = data.draw(st.permutations(range(n)), label="insertion")
+@given(keys=st.lists(
+    st.text(min_size=1, max_size=8), min_size=1, max_size=12, unique=True,
+))
+def test_jobs1_visits_tasks_in_list_order(keys):
+    """Property: ``jobs=1`` runs any list of tasks exactly in list order,
+    and reports and records them in that order."""
     visits: list[str] = []
-    graph = TaskGraph([
-        TaskSpec(
-            key=f"t{i}", fn=tasklib.VISIT, config={"key": f"t{i}"},
-            payload=visits,
-            deps=tuple(f"t{a}" for (a, b) in sorted(edges) if b == i),
-        )
-        for i in insertion
-    ])
+    tasks = [
+        TaskSpec(key=key, fn=tasklib.VISIT, config={"key": key},
+                 payload=visits)
+        for key in keys
+    ]
     stats = EngineTelemetry()
-    report = run_graph_report(graph, jobs=1, telemetry=stats)
-    order = [task.key for task in graph.topological_order()]
-    assert visits == order
-    assert report.succeeded == order
-    assert [record.key for record in stats.records] == order
-
-
-def test_root_seed_changes_seeded_tasks_only():
-    a = run_graph(diamond_graph(), jobs=1, root_seed=0)
-    b = run_graph(diamond_graph(), jobs=1, root_seed=1)
-    assert a["draw/a"] != b["draw/a"]
-    assert a["leaf"] == b["leaf"]
+    report = run_graph_report(tasks, jobs=1, telemetry=stats)
+    assert visits == keys
+    assert report.succeeded == keys
+    assert [record.key for record in stats.records] == keys
 
 
 def test_payload_is_shipped_to_workers_not_hashed():
-    graph = TaskGraph([
+    tasks = [
         TaskSpec(key="p", fn=tasklib.PAYLOAD_SIZE, payload=[10, 20, 30]),
-    ])
-    assert run_graph(graph, jobs=2) == {"p": 3}
+    ]
+    assert run_graph(tasks, jobs=2) == {"p": 3}
 
 
 def test_jobs_must_be_positive():
     with pytest.raises(ValueError, match="jobs"):
-        run_graph(diamond_graph(), jobs=0)
+        run_graph(seeded_tasks(), jobs=0)
 
 
 # ----------------------------------------------------------------------
@@ -141,16 +113,14 @@ def test_warm_cache_rerun_hits_every_cacheable_task(tmp_path):
     cache = ArtifactCache(tmp_path / "cache")
     cold_stats = EngineTelemetry()
     cold = run_graph(
-        diamond_graph(), jobs=1, cache=cache, root_seed=7,
-        telemetry=cold_stats,
+        seeded_tasks(), jobs=1, cache=cache, telemetry=cold_stats
     )
     assert cold_stats.n_computed == 5
     assert cold_stats.hit_rate == 0.0
 
     warm_stats = EngineTelemetry()
     warm = run_graph(
-        diamond_graph(), jobs=1, cache=cache, root_seed=7,
-        telemetry=warm_stats,
+        seeded_tasks(), jobs=1, cache=cache, telemetry=warm_stats
     )
     assert warm == cold
     assert warm_stats.n_cache_hits == 5
@@ -159,11 +129,10 @@ def test_warm_cache_rerun_hits_every_cacheable_task(tmp_path):
 
 def test_warm_cache_hits_short_circuit_the_pool(tmp_path):
     cache = ArtifactCache(tmp_path / "cache")
-    cold = run_graph(diamond_graph(), jobs=2, cache=cache, root_seed=7)
+    cold = run_graph(seeded_tasks(), jobs=2, cache=cache)
     warm_stats = EngineTelemetry()
     warm = run_graph(
-        diamond_graph(), jobs=2, cache=cache, root_seed=7,
-        telemetry=warm_stats,
+        seeded_tasks(), jobs=2, cache=cache, telemetry=warm_stats
     )
     assert warm == cold
     assert {r.outcome for r in warm_stats.records} == {OUTCOME_CACHE_HIT}
@@ -171,39 +140,27 @@ def test_warm_cache_hits_short_circuit_the_pool(tmp_path):
 
 def test_non_cacheable_tasks_are_always_recomputed(tmp_path):
     cache = ArtifactCache(tmp_path / "cache")
-    graph = [
+    tasks = [
         TaskSpec(
             key="t", fn=tasklib.ADD, config={"a": 1, "b": 1},
             cacheable=False,
         ),
     ]
-    run_graph(TaskGraph(graph), jobs=1, cache=cache)
+    run_graph(tasks, jobs=1, cache=cache)
     stats = EngineTelemetry()
-    run_graph(TaskGraph(graph), jobs=1, cache=cache, telemetry=stats)
+    run_graph(tasks, jobs=1, cache=cache, telemetry=stats)
     assert stats.n_computed == 1
     assert cache.stats().n_entries == 0
 
 
-def test_different_root_seeds_do_not_share_cache_entries(tmp_path):
-    cache = ArtifactCache(tmp_path / "cache")
-    run_graph(diamond_graph(), jobs=1, cache=cache, root_seed=0)
-    stats = EngineTelemetry()
-    run_graph(
-        diamond_graph(), jobs=1, cache=cache, root_seed=1, telemetry=stats
-    )
-    assert stats.n_cache_hits == 0
-
-
 def test_corrupted_cache_entry_is_recomputed_transparently(tmp_path):
     cache = ArtifactCache(tmp_path / "cache")
-    cold = run_graph(diamond_graph(), jobs=1, cache=cache, root_seed=7)
+    cold = run_graph(seeded_tasks(), jobs=1, cache=cache)
     # Damage every entry on disk.
     for path in cache.root.glob("*/*.json"):
         path.write_text(path.read_text()[:-8])
     stats = EngineTelemetry()
-    warm = run_graph(
-        diamond_graph(), jobs=1, cache=cache, root_seed=7, telemetry=stats
-    )
+    warm = run_graph(seeded_tasks(), jobs=1, cache=cache, telemetry=stats)
     assert warm == cold
     assert stats.n_computed == 5
     assert cache.stats().n_entries == 5  # repopulated
@@ -213,9 +170,9 @@ def test_corrupted_cache_entry_is_recomputed_transparently(tmp_path):
 # Fault injection: failures are loud, attributed, and leave no debris
 # ----------------------------------------------------------------------
 
-def failing_graph() -> TaskGraph:
-    """One doomed task among busy siblings, plus a downstream dependent."""
-    return TaskGraph([
+def failing_tasks() -> list[TaskSpec]:
+    """One doomed task after two busy siblings."""
+    return [
         TaskSpec(
             key="ok/0", fn=tasklib.SLEEPY,
             config={"value": 0, "seconds": 0.02},
@@ -228,14 +185,13 @@ def failing_graph() -> TaskGraph:
             key="doomed", fn=tasklib.BOOM,
             config={"message": "injected failure"},
         ),
-        TaskSpec(key="after", fn=tasklib.TOTAL, deps=("doomed",)),
-    ])
+    ]
 
 
 @pytest.mark.parametrize("jobs", [1, 2])
 def test_failure_raises_task_error_naming_the_task(jobs):
     with pytest.raises(TaskError) as excinfo:
-        run_graph(failing_graph(), jobs=jobs)
+        run_graph(failing_tasks(), jobs=jobs)
     assert excinfo.value.key == "doomed"
     assert excinfo.value.fn == tasklib.BOOM
     assert "injected failure" in excinfo.value.detail
@@ -247,44 +203,36 @@ def test_failure_raises_task_error_naming_the_task(jobs):
 def test_failed_task_writes_nothing_to_the_cache(tmp_path, jobs):
     cache = ArtifactCache(tmp_path / "cache")
     with pytest.raises(TaskError):
-        run_graph(failing_graph(), jobs=jobs, cache=cache)
+        run_graph(failing_tasks(), jobs=jobs, cache=cache)
     # Only tasks that *succeeded before the failure surfaced* may have
-    # entries; the doomed task and its dependent never appear, and no
-    # temp files are left behind by interrupted writes.
+    # entries; the doomed task never appears, and no temp files are left
+    # behind by interrupted writes.
     entries = [p.name for p in cache.root.glob("*/*.json")]
     assert len(entries) <= 2
     assert list(cache.root.rglob("*.tmp")) == []
-    for key in ("doomed", "after"):
-        task = failing_graph().get(key)
-        artifact = cache_key(
-            fn=task.fn,
-            config=task.config,
-            seed=0,
-            code_version=code_version(),
-            task_key=task.key,
-        )
-        assert cache.get(artifact) is MISS
+    doomed = failing_tasks()[-1]
+    artifact = cache_key(
+        fn=doomed.fn, config=doomed.config, code_version=code_version()
+    )
+    assert cache.get(artifact) is MISS
     # Re-running against the same cache still fails (nothing poisoned
     # the cache into serving a result for the doomed task).
     with pytest.raises(TaskError):
-        run_graph(failing_graph(), jobs=jobs, cache=cache)
+        run_graph(failing_tasks(), jobs=jobs, cache=cache)
 
 
 def test_failure_cancels_pending_work_and_does_not_hang():
     """A failing task among slow siblings aborts promptly at jobs=2;
     completing at all (under the suite timeout) is the no-hang check."""
-    graph = TaskGraph(
-        [
-            TaskSpec(
-                key=f"slow/{i}", fn=tasklib.SLEEPY,
-                config={"value": i, "seconds": 0.05},
-            )
-            for i in range(6)
-        ]
-        + [TaskSpec(key="doomed", fn=tasklib.BOOM)]
-    )
+    tasks = [
+        TaskSpec(
+            key=f"slow/{i}", fn=tasklib.SLEEPY,
+            config={"value": i, "seconds": 0.05},
+        )
+        for i in range(6)
+    ] + [TaskSpec(key="doomed", fn=tasklib.BOOM)]
     with pytest.raises(TaskError, match="doomed"):
-        run_graph(graph, jobs=2)
+        run_graph(tasks, jobs=2)
 
 
 @pytest.mark.parametrize("policy", ["fail_fast", "continue"])
@@ -293,20 +241,20 @@ def test_keyboard_interrupt_in_a_task_propagates_at_jobs1(policy):
     ``run_graph`` as ``KeyboardInterrupt``, never as ``TaskError``, and
     no later task runs."""
     visits: list[str] = []
-    graph = TaskGraph([
+    tasks = [
         TaskSpec(key="ctrl-c", fn=tasklib.INTERRUPT),
         TaskSpec(key="later", fn=tasklib.VISIT, config={"key": "later"},
                  payload=visits),
-    ])
+    ]
     with pytest.raises(KeyboardInterrupt):
-        run_graph(graph, jobs=1, failure_policy=policy)
+        run_graph(tasks, jobs=1, failure_policy=policy)
     assert visits == []
 
 
 def test_telemetry_still_counts_tasks_finished_before_the_failure():
     stats = EngineTelemetry()
     with pytest.raises(TaskError):
-        run_graph(failing_graph(), jobs=1, telemetry=stats)
+        run_graph(failing_tasks(), jobs=1, telemetry=stats)
     # Serial order: ok/0 and ok/1 complete before doomed raises, and the
     # doomed task itself gets a 'failed' record.
     assert stats.n_computed == 2
@@ -322,11 +270,9 @@ def test_telemetry_still_counts_tasks_finished_before_the_failure():
 
 def test_telemetry_records_outcomes_timings_and_render(tmp_path):
     cache = ArtifactCache(tmp_path / "cache")
-    run_graph(diamond_graph(), jobs=1, cache=cache, root_seed=7)
+    run_graph(seeded_tasks(), jobs=1, cache=cache)
     stats = EngineTelemetry()
-    run_graph(
-        diamond_graph(), jobs=2, cache=cache, root_seed=7, telemetry=stats
-    )
+    run_graph(seeded_tasks(), jobs=2, cache=cache, telemetry=stats)
     assert stats.n_tasks == 5
     assert stats.n_cache_hits == 5
     assert stats.busy_seconds >= 0.0

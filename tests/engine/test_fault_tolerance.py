@@ -3,8 +3,8 @@
 The engine's failure contract (one attempt per task), enforced at
 ``jobs=1`` and on the pool path:
 
-* ``failure_policy="continue"`` finishes every independent task, skips
-  the failed subgraph transitively, and reports it in a ``RunReport``;
+* ``failure_policy="continue"`` finishes every other task and reports
+  the failed ones in a ``RunReport``;
 * a worker death fails only the task that killed it: bystanders on the
   broken pool are quarantined and still succeed;
 * a ``fail_fast`` abort kills every pool worker, a running one included,
@@ -27,7 +27,6 @@ from repro.engine import (
     ArtifactCache,
     RunReport,
     TaskError,
-    TaskGraph,
     TaskSpec,
     run_graph,
     run_graph_report,
@@ -42,106 +41,84 @@ def flaky_spec(scratch, fail_times, key="flaky", scale=2.0):
         fn=tasklib.FLAKY_DRAW,
         config={
             "scratch": str(scratch), "fail_times": fail_times,
-            "scale": scale,
+            "seed": 3, "scale": scale,
         },
     )
 
 
 def clean_draw_spec(key="flaky", scale=2.0):
-    """The never-failing twin of ``flaky_spec`` (same key -> same seed)."""
-    return TaskSpec(key=key, fn=tasklib.DRAW, config={"scale": scale})
+    """The never-failing twin of ``flaky_spec`` (same seed and scale)."""
+    return TaskSpec(
+        key=key, fn=tasklib.DRAW, config={"seed": 3, "scale": scale}
+    )
 
 
 # ----------------------------------------------------------------------
-# failure_policy="continue": independent subgraphs finish, report tells all
+# failure_policy="continue": every other task finishes, report tells all
 # ----------------------------------------------------------------------
 
-def branchy_graph(message="injected failure"):
-    """A failing branch (boom -> mid -> leaf) beside a healthy one."""
-    return TaskGraph([
-        TaskSpec(key="boom", fn=tasklib.BOOM, config={"message": message}),
-        TaskSpec(key="mid", fn=tasklib.TOTAL, deps=("boom",)),
-        TaskSpec(key="leaf", fn=tasklib.TOTAL, deps=("mid",)),
+def mixed_tasks(message="injected failure"):
+    """A failing task between healthy ones, one of them seeded."""
+    return [
         TaskSpec(key="healthy/a", fn=tasklib.ADD, config={"a": 1, "b": 1}),
-        TaskSpec(key="healthy/b", fn=tasklib.TOTAL, deps=("healthy/a",)),
-    ])
+        TaskSpec(key="boom", fn=tasklib.BOOM, config={"message": message}),
+        TaskSpec(key="healthy/b", fn=tasklib.DRAW,
+                 config={"seed": 5, "scale": 4.0}),
+    ]
 
 
 @pytest.mark.parametrize("jobs", [1, 2])
 def test_continue_policy_finishes_independent_subgraph(jobs):
     report = run_graph_report(
-        branchy_graph(), jobs=jobs, failure_policy="continue"
+        mixed_tasks(), jobs=jobs, failure_policy="continue"
     )
     assert isinstance(report, RunReport)
     assert not report.ok
-    assert report.results == {"healthy/a": 2, "healthy/b": 2}
+    assert report.results == run_graph(
+        [mixed_tasks()[0], mixed_tasks()[2]], jobs=1
+    )
     assert sorted(report.succeeded) == ["healthy/a", "healthy/b"]
     assert report.failed_keys == ["boom"]
-    assert report.failed[0].kind == "error"
     assert "RuntimeError" in report.failed[0].detail
-    assert sorted(report.skipped_keys) == ["leaf", "mid"]
-    for skip in report.skipped:
-        assert skip.detail == "upstream task 'boom' error"
 
 
 @pytest.mark.parametrize("jobs", [1, 2])
 def test_run_graph_raises_even_under_continue_after_finishing(jobs):
     with pytest.raises(TaskError, match="boom"):
-        run_graph(branchy_graph(), jobs=jobs, failure_policy="continue")
+        run_graph(mixed_tasks(), jobs=jobs, failure_policy="continue")
 
 
-def test_continue_report_renders_failures_and_skips():
-    report = run_graph_report(branchy_graph(), failure_policy="continue")
+def test_continue_report_renders_failures():
+    report = run_graph_report(mixed_tasks(), failure_policy="continue")
     rendered = report.render()
-    assert "2 succeeded, 1 failed, 2 skipped" in rendered
+    assert "2 succeeded, 1 failed" in rendered
     assert "FAILED  boom" in rendered
     assert "injected failure" in rendered
-    assert "skipped mid" in rendered
 
 
 def test_invalid_failure_policy_rejected():
-    graph = TaskGraph([TaskSpec(key="t", fn=tasklib.ADD,
-                                config={"a": 1, "b": 1})])
+    tasks = [TaskSpec(key="t", fn=tasklib.ADD, config={"a": 1, "b": 1})]
     with pytest.raises(ValueError, match="failure_policy"):
-        run_graph(graph, failure_policy="best_effort")
-
-
-@pytest.mark.parametrize("jobs", [1, 2])
-def test_skipped_dependent_with_one_live_parent_never_executes(
-    tmp_path, jobs
-):
-    """Diamond bottom under ``continue``: one parent dies instantly (the
-    dependent is reported skipped right then), the other finishes later
-    and decrements the dependent's dependency countdown.  The dead-key
-    launch filter is the only guard against re-running an
-    already-reported-skipped task: it must execute zero times and appear
-    exactly once in ``report.skipped``."""
-    scratch = tmp_path / f"bottom-runs-{jobs}"
-    graph = TaskGraph([
-        TaskSpec(key="boom", fn=tasklib.BOOM),
-        TaskSpec(key="slow", fn=tasklib.SLEEPY,
-                 config={"value": 3, "seconds": 0.4}),
-        TaskSpec(key="bottom", fn=tasklib.RECORD_RUN,
-                 config={"scratch": str(scratch)},
-                 deps=("boom", "slow")),
-    ])
-    report = run_graph_report(graph, jobs=jobs, failure_policy="continue")
-    assert report.results["slow"] == 3
-    assert report.failed_keys == ["boom"]
-    assert report.skipped_keys == ["bottom"]
-    assert not scratch.exists()  # zero executions recorded
+        run_graph(tasks, failure_policy="best_effort")
 
 
 @pytest.mark.parametrize("jobs", [1, 2])
 def test_continue_policy_caches_survivors_for_resume(tmp_path, jobs):
     cache = ArtifactCache(tmp_path / f"cache{jobs}")
     report = run_graph_report(
-        branchy_graph(), jobs=jobs, cache=cache,
+        mixed_tasks(), jobs=jobs, cache=cache,
         failure_policy="continue",
     )
     assert not report.ok
-    # Survivors are cached; the dead subgraph wrote nothing.
+    # Survivors are cached; the failed task wrote nothing.
     assert cache.stats().n_entries == 2
+    stats = EngineTelemetry()
+    warm = run_graph_report(
+        mixed_tasks(), jobs=jobs, cache=cache,
+        failure_policy="continue", telemetry=stats,
+    )
+    assert warm.results == report.results
+    assert stats.n_cache_hits == 2
 
 
 # ----------------------------------------------------------------------
@@ -150,14 +127,14 @@ def test_continue_policy_caches_survivors_for_resume(tmp_path, jobs):
 # ----------------------------------------------------------------------
 
 def test_failure_surfaces_promptly_despite_slow_sibling():
-    graph = TaskGraph([
+    tasks = [
         TaskSpec(key="slow", fn=tasklib.SLEEPY,
                  config={"value": 0, "seconds": 5.0}),
         TaskSpec(key="doomed", fn=tasklib.BOOM),
-    ])
+    ]
     started = time.monotonic()
     with pytest.raises(TaskError, match="doomed"):
-        run_graph(graph, jobs=2)
+        run_graph(tasks, jobs=2)
     # Before cancel_futures + no-wait shutdown, the raise waited ~5s for
     # the sleeping sibling; now it must surface well inside that window.
     assert time.monotonic() - started < 3.0
@@ -166,15 +143,15 @@ def test_failure_surfaces_promptly_despite_slow_sibling():
 _ABORT_PROBE = """
 import multiprocessing
 
-from repro.engine import TaskError, TaskGraph, TaskSpec, run_graph
+from repro.engine import TaskError, TaskSpec, run_graph
 from tests.engine import tasklib
 
-graph = TaskGraph([
+tasks = [
     TaskSpec(key="hung", fn=tasklib.HANG, config={"seconds": 30.0}),
     TaskSpec(key="doomed", fn=tasklib.BOOM),
-])
+]
 try:
-    run_graph(graph, jobs=2, failure_policy="fail_fast")
+    run_graph(tasks, jobs=2, failure_policy="fail_fast")
     outcome = "returned"
 except TaskError as error:
     outcome = "raised:" + error.key
@@ -207,19 +184,17 @@ def test_fail_fast_abort_kills_the_running_sibling_worker():
 # ----------------------------------------------------------------------
 
 def test_worker_crash_fails_loudly_by_default():
-    graph = TaskGraph([TaskSpec(key="crash", fn=tasklib.CRASH)])
+    tasks = [TaskSpec(key="crash", fn=tasklib.CRASH)]
     with pytest.raises(TaskError, match="crash"):
-        run_graph(graph, jobs=2, root_seed=0)
+        run_graph(tasks, jobs=2)
 
 
 def test_worker_crash_under_continue_spares_other_tasks():
-    graph = TaskGraph([
+    tasks = [
         TaskSpec(key="crash", fn=tasklib.CRASH),
         TaskSpec(key="ok", fn=tasklib.ADD, config={"a": 2, "b": 2}),
-    ])
-    report = run_graph_report(
-        graph, jobs=2, root_seed=0, failure_policy="continue"
-    )
+    ]
+    report = run_graph_report(tasks, jobs=2, failure_policy="continue")
     assert report.results["ok"] == 4
     assert "crash" in report.failed_keys
 
@@ -228,19 +203,17 @@ def test_worker_crash_does_not_charge_innocent_in_flight_siblings():
     """A dead worker poisons every in-flight future; the swept sibling
     is quarantined and re-run, so it still succeeds, while the crasher
     alone is reported failed."""
-    graph = TaskGraph([
+    tasks = [
         TaskSpec(key="crash", fn=tasklib.CRASH),
         TaskSpec(key="slow", fn=tasklib.SLEEPY,
                  config={"value": 5, "seconds": 0.5}),
-    ])
+    ]
     stats = EngineTelemetry()
     report = run_graph_report(
-        graph, jobs=2, root_seed=0, failure_policy="continue",
-        telemetry=stats,
+        tasks, jobs=2, failure_policy="continue", telemetry=stats
     )
     assert report.results["slow"] == 5
     assert report.failed_keys == ["crash"]
-    assert report.failed[0].kind == "error"
     assert "worker process died" in report.failed[0].detail
     record = next(r for r in stats.records if r.key == "slow")
     assert record.outcome == OUTCOME_COMPUTED
@@ -249,13 +222,13 @@ def test_worker_crash_does_not_charge_innocent_in_flight_siblings():
 def test_worker_crash_fail_fast_names_the_crasher_not_a_bystander():
     """Under fail_fast the TaskError must name the worker-killer, never
     an innocent sibling that happened to share the broken pool."""
-    graph = TaskGraph([
+    tasks = [
         TaskSpec(key="crash", fn=tasklib.CRASH),
         TaskSpec(key="slow", fn=tasklib.SLEEPY,
                  config={"value": 1, "seconds": 0.5}),
-    ])
+    ]
     with pytest.raises(TaskError) as excinfo:
-        run_graph(graph, jobs=2, root_seed=0)
+        run_graph(tasks, jobs=2)
     assert excinfo.value.key == "crash"
 
 
@@ -263,15 +236,15 @@ def test_worker_crash_fail_fast_names_the_crasher_not_a_bystander():
 # Resume: a crashed run's rerun recomputes only what is missing
 # ----------------------------------------------------------------------
 
-def grid_like_graph(scratch, fail_times):
+def grid_like_tasks(scratch, fail_times):
     """Ten independent tasks; one is flaky — a miniature sweep."""
     tasks = [
         TaskSpec(key=f"cell/{i}", fn=tasklib.DRAW,
-                 config={"scale": float(i + 1)})
+                 config={"seed": 3, "scale": float(i + 1)})
         for i in range(9)
     ]
     tasks.append(flaky_spec(scratch, fail_times, key="cell/9"))
-    return TaskGraph(tasks)
+    return tasks
 
 
 @pytest.mark.parametrize("jobs", [1, 2])
@@ -282,19 +255,19 @@ def test_resume_after_crash_recomputes_only_missing_tasks(tmp_path, jobs):
     # "Crash": the flaky task fails its one attempt, but under the
     # continue policy the other nine tasks complete and are cached.
     first = run_graph_report(
-        grid_like_graph(scratch, fail_times=1),
-        jobs=jobs, cache=cache, root_seed=3, failure_policy="continue",
+        grid_like_tasks(scratch, fail_times=1),
+        jobs=jobs, cache=cache, failure_policy="continue",
     )
     assert first.failed_keys == ["cell/9"]
     assert len(first.succeeded) == 9
 
-    # Resume: replay the same graph against the warm cache.  The flaky
+    # Resume: replay the same tasks against the warm cache.  The flaky
     # task's injected failure is spent, so it now succeeds; everything
     # untouched is served warm (hit rate 0.9 of 10 tasks).
     stats = EngineTelemetry()
     resumed = run_graph(
-        grid_like_graph(scratch, fail_times=1),
-        jobs=jobs, cache=cache, root_seed=3, telemetry=stats,
+        grid_like_tasks(scratch, fail_times=1),
+        jobs=jobs, cache=cache, telemetry=stats,
     )
     assert stats.n_cache_hits == 9
     assert stats.n_computed == 1
@@ -304,8 +277,8 @@ def test_resume_after_crash_recomputes_only_missing_tasks(tmp_path, jobs):
     # where the task never failed at all.
     clean_tasks = [
         TaskSpec(key=f"cell/{i}", fn=tasklib.DRAW,
-                 config={"scale": float(i + 1)})
+                 config={"seed": 3, "scale": float(i + 1)})
         for i in range(9)
     ] + [clean_draw_spec(key="cell/9")]
-    clean = run_graph(TaskGraph(clean_tasks), jobs=1, root_seed=3)
+    clean = run_graph(clean_tasks, jobs=1)
     assert resumed == clean

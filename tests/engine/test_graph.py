@@ -1,98 +1,45 @@
-"""TaskGraph validation and ordering, including a generated-DAG property."""
+"""What the engine accepts: valid task specs with unique keys."""
 
 from __future__ import annotations
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from repro.engine import GraphError, TaskGraph, TaskSpec
+from repro.engine import TaskSpec, run_graph_report
+from tests.engine import tasklib
 
 FN = "tests.engine.tasklib:add"
 
 
-def spec(key: str, deps=()) -> TaskSpec:
-    return TaskSpec(key=key, fn=FN, config={"a": 1, "b": 2}, deps=deps)
-
-
 # ----------------------------------------------------------------------
-# Validation
+# Unique keys, list order
 # ----------------------------------------------------------------------
 
-def test_duplicate_key_rejected_at_add_time():
-    graph = TaskGraph([spec("t")])
-    with pytest.raises(GraphError, match="duplicate task key 't'"):
-        graph.add(spec("t"))
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_duplicate_key_rejected_before_any_task_runs(tmp_path, jobs):
+    """A repeated key raises ``ValueError`` naming it, and no task of the
+    list runs: the marker directory the tasks would write stays absent."""
+    scratch = tmp_path / "runs"
+    tasks = [
+        TaskSpec(key=key, fn=tasklib.RECORD_RUN,
+                 config={"scratch": str(scratch), "value": value})
+        for value, key in enumerate(["a", "b", "a"])
+    ]
+    with pytest.raises(ValueError, match="duplicate task key 'a'"):
+        run_graph_report(tasks, jobs=jobs)
+    assert not scratch.exists()
 
-
-def test_unknown_dependency_rejected():
-    graph = TaskGraph([spec("a", deps=("missing",))])
-    with pytest.raises(GraphError, match="unknown task 'missing'"):
-        graph.topological_order()
-
-
-def test_cycle_detected_and_members_named():
-    graph = TaskGraph([
-        spec("a", deps=("c",)),
-        spec("b", deps=("a",)),
-        spec("c", deps=("b",)),
-    ])
-    with pytest.raises(GraphError, match="cycle among tasks: a, b, c"):
-        graph.topological_order()
-
-
-def test_cycle_error_excludes_tasks_outside_the_cycle():
-    graph = TaskGraph([
-        spec("free"),
-        spec("x", deps=("y",)),
-        spec("y", deps=("x",)),
-    ])
-    with pytest.raises(GraphError, match="cycle among tasks: x, y$"):
-        graph.topological_order()
-
-
-# ----------------------------------------------------------------------
-# Ordering
-# ----------------------------------------------------------------------
 
 def test_independent_tasks_keep_insertion_order():
-    graph = TaskGraph([spec("c"), spec("a"), spec("b")])
-    assert [t.key for t in graph.topological_order()] == ["c", "a", "b"]
-
-
-def test_dependencies_may_be_declared_after_dependents():
-    graph = TaskGraph([spec("late", deps=("early",)), spec("early")])
-    assert [t.key for t in graph.topological_order()] == ["early", "late"]
-
-
-@settings(max_examples=60, deadline=None)
-@given(data=st.data())
-def test_topological_order_respects_every_edge(data):
-    """Property: on any generated DAG, in any insertion order, every task
-    appears after all of its dependencies, exactly once."""
-    n = data.draw(st.integers(min_value=1, max_value=12), label="n")
-    edges = data.draw(
-        st.sets(
-            st.tuples(
-                st.integers(0, n - 1), st.integers(0, n - 1)
-            ).filter(lambda e: e[0] < e[1]),
-            max_size=3 * n,
-        ),
-        label="edges",
-    )
-    insertion = data.draw(st.permutations(range(n)), label="insertion")
-
-    deps_of = {i: [f"t{a}" for (a, b) in sorted(edges) if b == i]
-               for i in range(n)}
-    graph = TaskGraph(
-        [spec(f"t{i}", deps=tuple(deps_of[i])) for i in insertion]
-    )
-
-    order = [task.key for task in graph.topological_order()]
-    assert sorted(order) == sorted(f"t{i}" for i in range(n))
-    position = {key: index for index, key in enumerate(order)}
-    for a, b in edges:
-        assert position[f"t{a}"] < position[f"t{b}"]
+    """At ``jobs=1`` the list order, not the key order, is the run order."""
+    visits: list[str] = []
+    tasks = [
+        TaskSpec(key=key, fn=tasklib.VISIT, config={"key": key},
+                 payload=visits)
+        for key in ("c", "a", "b")
+    ]
+    report = run_graph_report(tasks, jobs=1)
+    assert visits == ["c", "a", "b"]
+    assert report.succeeded == ["c", "a", "b"]
 
 
 # ----------------------------------------------------------------------
@@ -107,8 +54,3 @@ def test_spec_rejects_empty_key():
 def test_spec_rejects_fn_without_module_separator():
     with pytest.raises(ValueError, match="module:callable"):
         TaskSpec(key="t", fn="not_a_dotted_path")
-
-
-def test_spec_coerces_deps_to_tuple():
-    task = TaskSpec(key="t", fn=FN, deps=["a", "b"])
-    assert task.deps == ("a", "b")

@@ -25,7 +25,7 @@ configs = st.dictionaries(st.text(max_size=10), json_values, max_size=6)
 
 
 def key_of(config: dict) -> str:
-    return cache_key(fn="m:f", config=config, seed=0, code_version="v1")
+    return cache_key(fn="m:f", config=config, code_version="v1")
 
 
 def _shuffled(value, rng):
@@ -81,18 +81,15 @@ def test_cache_key_sensitive_to_every_config_field(config):
     assert key_of(grown) != baseline
 
 
-def test_cache_key_covers_fn_seed_task_key_and_code_version():
-    base = dict(fn="m:f", config={"a": 1}, seed=0, code_version="v1",
-                task_key="k")
+def test_cache_key_covers_fn_config_and_code_version():
+    base = dict(fn="m:f", config={"a": 1}, code_version="v1")
     baseline = cache_key(**base)
     for field, changed in [
         ("fn", "m:g"),
-        ("seed", 1),
+        ("config", {"a": 2}),
         ("code_version", "v2"),
-        ("task_key", "k2"),
     ]:
         assert cache_key(**{**base, field: changed}) != baseline, field
-    assert cache_key(**{**base, "config": {"a": 2}}) != baseline
 
 
 def test_int_and_float_hash_differently():

@@ -3,10 +3,12 @@
 import pytest
 
 from repro.cluster import Cluster, execute_runs
+from repro.engine import ArtifactCache
 from repro.framework import cross_validate, sweep_models
 from repro.models import cluster_set, cpu_only_set
 from repro.models.featuresets import CPU_UTILIZATION_COUNTER, FREQUENCY_COUNTER
 from repro.platforms import CORE2
+from repro.telemetry.engine_stats import EngineTelemetry
 from repro.workloads import PrimeWorkload
 
 
@@ -84,3 +86,31 @@ class TestSweep:
         )
         # 6 valid cells x 3 folds each.
         assert sweep.n_models_built == 18
+
+    def test_seeds_share_no_cache_entry_and_a_rerun_is_all_hits(
+        self, runs, tmp_path
+    ):
+        """Each fold task's config carries the sweep seed, so the seed
+        keys the artifact cache: seed 1 reuses nothing seed 0 stored, and
+        rerunning seed 0 serves every fold warm with the same grid."""
+        cache = ArtifactCache(tmp_path / "cache")
+
+        def sweep(seed):
+            stats = EngineTelemetry()
+            result = sweep_models(
+                runs, [cpu_only_set()], seed=seed, jobs=1, cache=cache,
+                telemetry=stats,
+            )
+            return result, stats
+
+        cold, cold_stats = sweep(0)
+        _, other_stats = sweep(1)
+        assert other_stats.n_cache_hits == 0
+        assert cache.stats().n_entries == (
+            cold_stats.n_tasks + other_stats.n_tasks
+        )
+        warm, warm_stats = sweep(0)
+        assert warm_stats.hit_rate == 1.0
+        assert [e.mean_machine_dre for e in warm.evaluations] == [
+            e.mean_machine_dre for e in cold.evaluations
+        ]

@@ -202,6 +202,68 @@ class TestServingCommands:
         assert warnings.showwarning is showwarning
         assert logging.getLogger("asyncio").handlers == handlers
 
+    @pytest.mark.parametrize(
+        "stop", ["sigint", "sigint-inherited-ignored", "sigterm"]
+    )
+    def test_serve_stops_gracefully_on_a_signal(self, tmp_path, stop):
+        """SIGTERM, and SIGINT even when the server started with SIGINT
+        ignored (as a background job of a non-interactive shell does),
+        run the graceful stop: ``stopped`` is printed and the exit code
+        is 0, within a bounded wait."""
+        import os
+        import select
+        import signal
+        import subprocess
+        import sys
+        import time
+        from pathlib import Path
+
+        from repro.serving import ModelRegistry, load_replay_fixture
+
+        root = Path(__file__).resolve().parents[1]
+        fixture = root / "tests" / "serving" / "fixtures" / (
+            "atom_sort_replay.json"
+        )
+        bundle, _ = load_replay_fixture(fixture)
+        registry_path = tmp_path / "registry"
+        ModelRegistry(registry_path).publish(bundle)
+        env = dict(os.environ)
+        env["PYTHONPATH"] = str(root / "src")
+        command = [
+            sys.executable, "-m", "repro", "serve",
+            "--registry", str(registry_path), "--port", "0",
+        ]
+        previous = signal.getsignal(signal.SIGINT)
+        if stop == "sigint-inherited-ignored":
+            signal.signal(signal.SIGINT, signal.SIG_IGN)
+        try:
+            # Unbuffered, so no line is read ahead of the select below.
+            proc = subprocess.Popen(
+                command, stdout=subprocess.PIPE, stderr=subprocess.STDOUT,
+                env=env, bufsize=0,
+            )
+        finally:
+            signal.signal(signal.SIGINT, previous)
+        try:
+            deadline = time.monotonic() + 60.0
+            line = b""
+            while b"listening on" not in line:
+                remaining = max(0.0, deadline - time.monotonic())
+                ready, _, _ = select.select([proc.stdout], [], [], remaining)
+                assert ready, "server did not start listening in 60 s"
+                line = proc.stdout.readline()
+                assert line, "server exited before listening"
+            proc.send_signal(
+                signal.SIGTERM if stop == "sigterm" else signal.SIGINT
+            )
+            output, _ = proc.communicate(timeout=30.0)
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.communicate()
+        assert proc.returncode == 0, output
+        assert "stopped" in output.decode().splitlines()
+
     @pytest.mark.parametrize("command", ["serve", "replay"])
     def test_sanitize_refuses_process_shards(self, tmp_path, command):
         """Regression: worker interpreters are never armed, so a
